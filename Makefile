@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline clean
+.PHONY: all build vet test race lint bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline perfbench-test clean
 
 all: build vet test
 
@@ -28,7 +28,7 @@ race:
 	$(GO) test -race ./internal/... ./cmd/...
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke
+ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke perfbench-test
 
 # Full benchmark pass: the allocator and slot-loop JSON reports (each run
 # also appended as a timestamped entry to the results/bench_history.jsonl
@@ -180,6 +180,14 @@ health-smoke:
 	grep -q 'health: exported' results/health_smoke.txt
 	$(GO) run ./cmd/collabvr-health -baseline results/health_baseline.json \
 		results/health_smoke.jsonl
+
+# Repository benchmark module (< 10 s): perfbench/ is its own Go module, so
+# the root `go test ./...` never reaches it. Its replay and probe
+# differentials are what keep its re-implementation of Simulate's slot loop
+# in step with the engine.
+perfbench-test:
+	GOWORK=off $(GO) -C perfbench vet ./...
+	GOWORK=off $(GO) -C perfbench test ./...
 
 # Regenerate the checked-in health baseline from the same seeded campaign
 # (run after a deliberate behavior change, then commit the new baseline).

@@ -299,7 +299,8 @@ func runSlotloopSmoke(seed int64) error {
 		cfg  load.SimConfig
 	}{
 		{"sharded", load.SimConfig{Workers: 4}},
-		{"warm-start", load.SimConfig{Workers: 4, WarmStart: true}},
+		{"warm-start", load.SimConfig{Workers: 4, AllocName: "proposed",
+			NewAllocator: func() core.Allocator { return core.NewWarmAllocator() }}},
 	} {
 		rep, err := load.Simulate(w, v.cfg)
 		if err != nil {

@@ -96,7 +96,7 @@ func run(args []string, out io.Writer) error {
 	if _, err := fleet.ScorerByName(*scorerName); err != nil {
 		return err
 	}
-	if _, err := allocatorByName(*algo); err != nil {
+	if _, err := baseline.AllocatorByName(*algo); err != nil {
 		return err
 	}
 	if *mode != "sim" && *mode != "live" {
@@ -244,7 +244,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	newAlloc := func() core.Allocator {
-		a, _ := allocatorByName(*algo)
+		a, _ := baseline.AllocatorByName(*algo)
 		return a
 	}
 	rebalance := fleet.RebalanceConfig{EverySlots: *rebSlots}
@@ -565,25 +565,4 @@ func chaosSummary(p *chaos.Profile) string {
 	}
 	fmt.Fprintln(&b, "profile OK")
 	return b.String()
-}
-
-func allocatorByName(name string) (core.Allocator, error) {
-	switch name {
-	case "dvgreedy", "proposed":
-		return core.NewSolverAllocator(), nil
-	case "dvgreedy-scan":
-		return core.DVGreedy{}, nil
-	case "density":
-		return core.DensityOnly{}, nil
-	case "value":
-		return core.ValueOnly{}, nil
-	case "optimal":
-		return core.Optimal{}, nil
-	case "firefly":
-		return baseline.NewFirefly(), nil
-	case "pavq":
-		return baseline.NewPAVQ(), nil
-	default:
-		return nil, fmt.Errorf("unknown allocator %q", name)
-	}
 }

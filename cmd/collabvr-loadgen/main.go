@@ -98,7 +98,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := allocatorByName(*algo); err != nil {
+	if _, err := baseline.AllocatorByName(*algo); err != nil {
 		return err
 	}
 	if *mode != "sim" && *mode != "live" {
@@ -113,7 +113,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	newAlloc := func() core.Allocator {
-		a, _ := allocatorByName(*algo)
+		a, _ := baseline.AllocatorByName(*algo)
 		return a
 	}
 	params := core.DefaultSystemParams()
@@ -599,26 +599,4 @@ func verifyReplay(w *load.Workload, poses bool, params core.Params,
 		return fmt.Errorf("replay check: replayed workload produced a different report")
 	}
 	return nil
-}
-
-func allocatorByName(name string) (core.Allocator, error) {
-	switch name {
-	case "dvgreedy", "proposed":
-		return core.NewSolverAllocator(), nil
-	case "dvgreedy-scan":
-		// The original rescan engine, kept for differential comparison.
-		return core.DVGreedy{}, nil
-	case "density":
-		return core.DensityOnly{}, nil
-	case "value":
-		return core.ValueOnly{}, nil
-	case "optimal":
-		return core.Optimal{}, nil
-	case "firefly":
-		return baseline.NewFirefly(), nil
-	case "pavq":
-		return baseline.NewPAVQ(), nil
-	default:
-		return nil, fmt.Errorf("unknown allocator %q", name)
-	}
 }

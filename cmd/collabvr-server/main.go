@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 	"repro/internal/server"
@@ -68,7 +67,7 @@ func run(args []string) error {
 		return err
 	}
 
-	alloc, err := allocatorByName(*algo)
+	alloc, err := baseline.AllocatorByName(*algo)
 	if err != nil {
 		return err
 	}
@@ -221,26 +220,4 @@ func run(args []string) error {
 		fmt.Printf("health: exported %d series to %s\n", healthStore.Len(), *healthOut)
 	}
 	return nil
-}
-
-func allocatorByName(name string) (core.Allocator, error) {
-	switch name {
-	case "dvgreedy", "proposed":
-		return core.NewSolverAllocator(), nil
-	case "dvgreedy-scan":
-		// The original rescan engine, kept for differential comparison.
-		return core.DVGreedy{}, nil
-	case "density":
-		return core.DensityOnly{}, nil
-	case "value":
-		return core.ValueOnly{}, nil
-	case "optimal":
-		return core.Optimal{}, nil
-	case "firefly":
-		return baseline.NewFirefly(), nil
-	case "pavq":
-		return baseline.NewPAVQ(), nil
-	default:
-		return nil, fmt.Errorf("unknown allocator %q", name)
-	}
 }

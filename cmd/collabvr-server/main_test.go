@@ -9,44 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/motion"
 	"repro/internal/obs"
 )
-
-func TestAllocatorByName(t *testing.T) {
-	tests := []struct {
-		give string
-		want string
-	}{
-		{"dvgreedy", "dvgreedy"},
-		{"proposed", "dvgreedy"},
-		{"density", "density"},
-		{"value", "value"},
-		{"optimal", "optimal"},
-		{"firefly", "firefly"},
-		{"pavq", "pavq"},
-	}
-	for _, tt := range tests {
-		alloc, err := allocatorByName(tt.give)
-		if err != nil {
-			t.Fatalf("%s: %v", tt.give, err)
-		}
-		if alloc.Name() != tt.want {
-			t.Errorf("allocatorByName(%q).Name() = %q, want %q", tt.give, alloc.Name(), tt.want)
-		}
-	}
-	if _, err := allocatorByName("nope"); err == nil {
-		t.Error("unknown allocator should error")
-	}
-	// Spot check types.
-	if a, _ := allocatorByName("pavq"); a == (core.Allocator)(nil) {
-		t.Error("nil allocator")
-	}
-	var _ = baseline.NewPAVQ()
-}
 
 func TestServerRunsForConfiguredSlots(t *testing.T) {
 	err := run([]string{

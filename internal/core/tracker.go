@@ -119,3 +119,35 @@ func (tr *Tracker) TotalQoE() float64 {
 	}
 	return sum
 }
+
+// SessionQoE is one dynamic session's streaming h_n state: observed slots,
+// covered slots and the viewed-quality sum, from which the allocator's
+// Delta and MeanQ inputs derive. It is Tracker's per-user state for a
+// session that joins and leaves at arbitrary slots, with the delta prior
+// fixed at 1; the live server and the virtual-time engines embed it.
+type SessionQoE struct {
+	T          int     // observed slots
+	Covered    int     // count of 1_n(t) = 1
+	SumViewedQ float64 // sum of q*1
+}
+
+// Delta returns the running prediction-success estimate (1+covered)/(1+t).
+func (s *SessionQoE) Delta() float64 { return (1 + float64(s.Covered)) / float64(1+s.T) }
+
+// MeanQ returns qbar_n(t-1), 0 before any observation.
+func (s *SessionQoE) MeanQ() float64 {
+	if s.T == 0 {
+		return 0
+	}
+	return s.SumViewedQ / float64(s.T)
+}
+
+// Observe records one slot's allocated level q and whether it covered the
+// actual FoV.
+func (s *SessionQoE) Observe(q int, covered bool) {
+	s.T++
+	if covered {
+		s.Covered++
+		s.SumViewedQ += float64(q)
+	}
+}

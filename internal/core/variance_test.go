@@ -181,3 +181,24 @@ func TestTrackerEmpty(t *testing.T) {
 		t.Errorf("TotalQoE = %v, want 0", got)
 	}
 }
+
+// TestSessionQoEMatchesTrackerAtPriorOne pins the per-session state the
+// server and the virtual-time engines embed to Tracker's estimators with
+// the delta prior every dynamic session uses.
+func TestSessionQoEMatchesTrackerAtPriorOne(t *testing.T) {
+	tr := NewTracker(DefaultSimParams(), 1, 1)
+	var s SessionQoE
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		if s.Delta() != tr.Delta(0) || s.MeanQ() != tr.MeanQ(0) {
+			t.Fatalf("slot %d: SessionQoE (%v, %v) != Tracker (%v, %v)",
+				i, s.Delta(), s.MeanQ(), tr.Delta(0), tr.MeanQ(0))
+		}
+		q, covered := 1+rng.Intn(6), rng.Float64() < 0.8
+		s.Observe(q, covered)
+		tr.Record(0, q, covered, 0)
+	}
+	if s.T != 200 {
+		t.Errorf("T = %d, want 200", s.T)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 )
 
 // churnWorkload generates a Poisson workload capped at `sessions` sessions
@@ -114,12 +115,17 @@ func TestSimWarmStartMatchesCold(t *testing.T) {
 	w := churnWorkload(t, 1500, 600, 97)
 	chaosProfile := campaignChaos()
 	cold := mustSimulate(t, w, SimConfig{Chaos: chaosProfile})
-	warm := mustSimulate(t, w, SimConfig{WarmStart: true, Chaos: chaosProfile})
+	warm := mustSimulate(t, w, SimConfig{NewAllocator: newWarmAllocator, AllocName: "proposed", Chaos: chaosProfile})
 	diffReports(t, "warm-vs-cold", cold, warm)
 	if cold.Algorithm != warm.Algorithm {
 		t.Fatalf("algorithm label changed: %q vs %q", cold.Algorithm, warm.Algorithm)
 	}
 }
+
+// newWarmAllocator selects the warm-start solver, which replays the previous
+// slot's pick log when the problem is sparsely perturbed and falls back to a
+// cold solve otherwise; decisions are bit-identical either way.
+func newWarmAllocator() core.Allocator { return core.NewWarmAllocator() }
 
 // TestCampaign100KSessionsBitIdentical is the acceptance campaign: one
 // hundred thousand sessions through the virtual-time engine, run twice
@@ -132,8 +138,8 @@ func TestCampaign100KSessionsBitIdentical(t *testing.T) {
 	if len(w.Sessions) < 100_000 {
 		t.Fatalf("campaign underfilled: %d sessions", len(w.Sessions))
 	}
-	first := mustSimulate(t, w, SimConfig{Workers: 1, WarmStart: true})
-	second := mustSimulate(t, w, SimConfig{Workers: 4, WarmStart: true})
+	first := mustSimulate(t, w, SimConfig{Workers: 1, NewAllocator: newWarmAllocator, AllocName: "proposed"})
+	second := mustSimulate(t, w, SimConfig{Workers: 4, NewAllocator: newWarmAllocator, AllocName: "proposed"})
 	diffReports(t, "campaign-100k", first, second)
 	if first.Completed != first.Spawned {
 		t.Fatalf("campaign lost sessions: spawned %d completed %d", first.Spawned, first.Completed)

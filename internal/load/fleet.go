@@ -4,15 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/fleet/coord"
-	"repro/internal/metrics"
-	"repro/internal/motion"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 	"repro/internal/tiles"
@@ -21,11 +16,13 @@ import (
 // FleetSimConfig parametrizes the deterministic fleet engine: N virtual
 // shards behind the fleet router, sharing the GLOBAL budget Sim.BudgetMbps.
 type FleetSimConfig struct {
-	// Sim carries the per-shard engine knobs. Sim.BudgetMbps is the
-	// fleet-wide budget B(t); the rebalancer splits it across shards.
-	// Sim.Chaos may carry shard_kill/shard_drain faults — they drive the
-	// fleet layer; its session-scoped faults apply per session as in
-	// Simulate.
+	// Sim carries the per-shard engine knobs, honoured as in Simulate
+	// (Tracer, Recorder, SLO, Breaker, Metrics and Health included) with
+	// two differences. Sim.BudgetMbps is the fleet-wide budget B(t); the
+	// rebalancer splits it across shards. Sim.Workers is unused: the fleet
+	// builds serially (see SimulateFleet). Sim.Chaos may carry shard and
+	// coordinator faults — they drive the fleet layer; its session-scoped
+	// faults apply per session as in Simulate.
 	Sim SimConfig
 	// Shards is the virtual shard count (default 3).
 	Shards int
@@ -190,6 +187,14 @@ type fleetSession struct {
 // chaos profile kills or drains a shard — live migration of its sessions
 // to the survivors, each paying a short forced-miss outage instead of being
 // dropped. Same workload + config is bit-identical, like Simulate.
+//
+// Every alive shard runs Simulate's slot core (build, solve, settle) over
+// its own in-service sessions, against its budget share and its own
+// allocator, so a one-shard fleet reproduces Simulate exactly. The build is
+// serial: sharding Simulate's build across two workers instead of one
+// raised the sim-churn benchmark (about 200 concurrent sessions) from 3.0
+// to 3.9 CPU µs per session-slot on 2 vCPUs, as parallelFor's hand-off
+// costs more than it saves at that size, and a shard holds fewer still.
 func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	cfg = cfg.withDefaults()
 	if len(w.Sessions) == 0 {
@@ -222,22 +227,6 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	}
 	coordUp := func() bool { return cluster == nil || cluster.Available() }
 	horizon := w.Cfg.HorizonSlots
-	sps := w.Cfg.SlotsPerSecond
-	if sps <= 0 {
-		sps = 60
-	}
-	slotMs := 1000 / sps
-	deadlineMs := float64(sim.DeadlineSlots) * slotMs
-	sizeModel := tiles.NewSizeModel(sim.SizeModelSeed)
-	qoeParams := metrics.QoEParams{Alpha: sim.Params.Alpha, Beta: sim.Params.Beta}
-	lm := newLoadMetrics(sim.Metrics)
-
-	// One allocator instance per shard: some allocators keep state, and a
-	// real fleet runs one per server.
-	allocs := make([]core.Allocator, cfg.Shards)
-	for i := range allocs {
-		allocs[i] = sim.NewAllocator()
-	}
 	scorer, err := fleet.ScorerByName(cfg.Scorer)
 	if err != nil {
 		return nil, err
@@ -307,13 +296,12 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	}
 
 	var active []*fleetSession
-	serverInj := chaos.NewServerInjector(sim.Chaos)
 	shardFaults := sim.Chaos.ShardFaults()
 	report.SlotQuality = make([]float64, 0, horizon)
-
-	var regretRef core.Allocator
-	if sim.Recorder.Enabled() && sim.RegretRef {
-		regretRef = core.DPOptimal{Resolution: sim.RegretResolution}
+	c := newSlotCore(w, sim, &report.RunReport)
+	solvers := make([]slotSolver, cfg.Shards)
+	for i := range solvers {
+		solvers[i] = c.newSolver()
 	}
 
 	// pendingForgets queues departures that arrived while the coordinator
@@ -323,29 +311,13 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	coordLeaderless := 0
 
 	finish := func(s *fleetSession) {
-		sim.SLO.Retire(s.spec.ID)
-		sim.Breaker.Retire(s.spec.ID)
 		evac.Forget(s.spec.ID)
 		if cluster != nil {
 			if err := cluster.Propose(coord.Op{Kind: coord.OpForget, Session: s.spec.ID}); err != nil {
 				pendingForgets = append(pendingForgets, s.spec.ID)
 			}
 		}
-		out := SessionOutcome{
-			ID:       s.spec.ID,
-			Slots:    s.acc.Slots(),
-			QoE:      s.acc.QoE(),
-			Quality:  s.acc.AvgQuality(),
-			DelayMs:  s.acc.AvgDelay(),
-			Variance: s.acc.Variance(),
-			Coverage: s.acc.CoverageRate(),
-		}
-		if s.served > 0 {
-			out.MissFrac = float64(s.missed) / float64(s.served)
-		}
-		report.Outcomes = append(report.Outcomes, out)
-		report.Completed++
-		lm.observeOutcome(out)
+		c.finish(&s.simSession)
 	}
 
 	// shardStates builds the router's view: budgets and demand from the
@@ -443,15 +415,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		}
 	}
 
-	users := make([]core.UserInput, 0, 64)
-	type plan struct {
-		sess    *fleetSession
-		rates   []float64
-		cov     bool
-		cap_    float64
-		dropped bool
-	}
-	plans := make([]plan, 0, 64)
+	var members []*simSession
 	degrade := make([]float64, cfg.Shards)
 	shardQualSum := make([]float64, cfg.Shards)
 	shardQualCnt := make([]int, cfg.Shards)
@@ -572,18 +536,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			}
 			report.Placements++
 			report.Shards[to].Placed++
-			active = append(active, &fleetSession{
-				simSession: simSession{
-					spec:  spec,
-					trace: w.MotionTrace(spec, 0),
-					caps:  w.CapSlots(spec),
-					pred:  motion.NewPredictor(sim.PredictorWindow),
-					acc:   metrics.NewUserQoE(qoeParams),
-					inj:   chaos.NewInjector(sim.Chaos, spec.ID),
-				},
-				zone:  zone,
-				shard: to,
-			})
+			active = append(active, &fleetSession{simSession: c.newSession(spec), zone: zone, shard: to})
 		}
 		// Departures.
 		next := active[:0]
@@ -601,12 +554,10 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			continue
 		}
 
-		serverInj.Advance(slot)
-		stallMs := float64(serverInj.StallFor()+serverInj.AckDelay()) / float64(time.Millisecond)
+		stallMs := c.stallMs(slot)
 
-		// Advance every session's pose/chaos state once, then solve each
-		// shard's slot problem over its own sessions against its own
-		// budget share.
+		// Each alive shard builds, solves and settles its own in-service
+		// sessions against its own budget share and allocator.
 		qualitySum := 0.0
 		counted := 0
 		for i := range report.Shards {
@@ -614,8 +565,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			shardQualCnt[i] = 0
 		}
 		for i := range report.Shards {
-			if c := shardSessionCount(active, i); c > report.Shards[i].PeakSessions {
-				report.Shards[i].PeakSessions = c
+			if n := shardSessionCount(active, i); n > report.Shards[i].PeakSessions {
+				report.Shards[i].PeakSessions = n
 			}
 		}
 		for shard := 0; shard < cfg.Shards; shard++ {
@@ -624,115 +575,34 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				rb.Observe(shard, 0)
 				continue // stranded sessions black out in the outage pass
 			}
-			users = users[:0]
-			plans = plans[:0]
-			shardDemand := 0.0
+			members = members[:0]
 			for _, s := range active {
-				if s.shard != shard || slot < s.outageUntil || s.pendingFlip {
-					continue
+				if s.shard == shard && slot >= s.outageUntil && !s.pendingFlip {
+					members = append(members, &s.simSession)
 				}
-				local := slot - s.spec.ArriveSlot
-				actual := s.trace[local]
-				predicted := s.pred.Predict()
-				if local <= sim.PredictorWindow {
-					predicted = actual
-				}
-				cell := tiles.CellFor(predicted.Pos)
-				sel := tiles.ForView(predicted, sim.Coverage.FoV, sim.Coverage.MarginDeg)
-				rates := sizeModel.RateTable(cell, sel)
-				cap_ := s.caps[local]
-				s.inj.Advance(slot)
-				cap_ *= s.inj.SimCapFactor()
-				cap_ *= degrade[shard]
-				// Demand proxy: what the session could usefully take this
-				// slot — its top ladder rate, clipped by its link.
-				top := rates[len(rates)-1]
-				if cap_ < top {
-					top = cap_
+			}
+			c.build(slot, members, degrade[shard], 1)
+			// Demand proxy: what each session could usefully take this slot
+			// — its top ladder rate, clipped by its link.
+			shardDemand := 0.0
+			for _, p := range c.plans {
+				top := p.sess.ratesBuf[tiles.Levels-1]
+				if p.cap_ < top {
+					top = p.cap_
 				}
 				shardDemand += top
-				users = append(users, core.UserInput{
-					Rate:  rates,
-					Delay: netem.DelayTableMs(rates, cap_, slotMs),
-					Delta: s.delta(),
-					MeanQ: s.meanQ(),
-					Cap:   cap_,
-				})
-				plans = append(plans, plan{
-					sess: s, rates: rates,
-					cov:  sim.Coverage.Covered(predicted, actual),
-					cap_: cap_, dropped: s.inj.Drop(),
-				})
-				s.pred.Observe(actual)
 			}
 			demand[shard] = shardDemand
 			rb.Observe(shard, shardDemand)
-			if len(users) == 0 {
+			if len(members) == 0 {
 				continue
 			}
-
-			problem := &core.SlotProblem{T: slot + 1, Budget: budget[shard], Users: users}
-			var allocation core.Allocation
-			var slotTr *core.SlotTrace
-			if sim.Recorder.Enabled() {
-				if ta, ok := allocs[shard].(core.TracingAllocator); ok {
-					slotTr = &core.SlotTrace{TopK: sim.CounterfactualK}
-					allocation = ta.AllocateTraced(sim.Params, problem, slotTr)
-				}
-			}
-			if slotTr == nil {
-				allocation = allocs[shard].Allocate(sim.Params, problem)
-			}
-			if sim.Recorder.Enabled() {
-				ids := make([]uint32, len(plans))
-				for i := range plans {
-					ids[i] = plans[i].sess.spec.ID
-				}
-				recordSimSlot(sim, slot, problem, allocation, slotTr, ids, regretRef)
-			}
-
-			overloadMs := 0.0
-			if allocation.Rate > budget[shard] && budget[shard] > 0 {
-				overloadMs = (allocation.Rate/budget[shard] - 1) * slotMs
-			}
-			for i, p := range plans {
-				q := allocation.Levels[i]
-				if bcap := sim.Breaker.Cap(p.sess.spec.ID); bcap > 0 && q > bcap {
-					q = bcap
-					report.DegradedSlots++
-				}
-				rate := p.rates[q-1]
-				delay := netem.DelayMs(rate, p.cap_, slotMs) + overloadMs + stallMs
-				covered := p.cov
-				missed := p.dropped || delay > deadlineMs
-				if missed {
-					covered = false
-					delay = deadlineMs
-				}
-				s := p.sess
-				s.served++
-				if missed {
-					s.missed++
-				}
-				s.t++
-				if covered {
-					s.covered++
-					s.sumViewedQ += float64(q)
-				}
-				s.acc.Observe(q, covered, delay)
-				s.acc.ObserveFrame(!missed)
-
-				quality := float64(q)
-				if missed {
-					quality = 0
-				}
-				qualitySum += quality
-				counted++
-				shardQualSum[shard] += quality
-				shardQualCnt[shard]++
-				sim.SLO.ObserveSlot(s.spec.ID, !missed, quality)
-				sim.Breaker.Observe(s.spec.ID, sim.SLO.State(s.spec.ID))
-			}
+			allocation, solveNs := c.solve(solvers[shard], slot, budget[shard])
+			q := c.settle(slot, allocation, budget[shard], stallMs, solveNs)
+			qualitySum += q
+			counted += len(members)
+			shardQualSum[shard] += q
+			shardQualCnt[shard] += len(members)
 		}
 
 		// Sessions mid-handoff (or stranded on a dead shard, or exported
@@ -745,18 +615,11 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			if !inOutage && !stranded {
 				continue
 			}
-			local := slot - s.spec.ArriveSlot
-			s.pred.Observe(s.trace[local]) // the head keeps moving
-			s.served++
-			s.missed++
-			s.t++
-			s.acc.Observe(1, false, deadlineMs)
-			s.acc.ObserveFrame(false)
+			s.pred.Observe(s.trace[slot-s.spec.ArriveSlot]) // the head keeps moving
+			c.observe(&s.simSession, 1, false, true, c.deadlineMs)
 			counted++
 			shardQualCnt[s.shard]++
 			report.OutageSlots++
-			sim.SLO.ObserveSlot(s.spec.ID, false, 0)
-			sim.Breaker.Observe(s.spec.ID, sim.SLO.State(s.spec.ID))
 		}
 		if counted > 0 {
 			report.SlotQuality = append(report.SlotQuality, qualitySum/float64(counted))

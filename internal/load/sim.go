@@ -3,17 +3,12 @@ package load
 import (
 	"fmt"
 	"runtime"
-	"slices"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/motion"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
-	"repro/internal/tiles"
 	"repro/internal/trace"
 )
 
@@ -86,15 +81,6 @@ type SimConfig struct {
 	// (after the slot's outcomes have landed in Metrics/SLO), so the sim
 	// produces the same multi-resolution series schema as a live server.
 	Health *tsdb.Sampler
-	// WarmStart swaps the default allocator for the warm-start solver
-	// (core.NewWarmAllocator), which replays the previous slot's pick log
-	// when the problem is sparsely perturbed and falls back to a cold
-	// solve otherwise — decisions are bit-identical either way. The sim
-	// advances T every slot, which re-lowers every value, so here warm
-	// start mostly exercises the fallback path (differential coverage);
-	// fixed-T re-solves are where it wins. Ignored when NewAllocator is
-	// set explicitly.
-	WarmStart bool
 }
 
 func (c SimConfig) withDefaults() SimConfig {
@@ -102,11 +88,7 @@ func (c SimConfig) withDefaults() SimConfig {
 		c.Params = core.DefaultSystemParams()
 	}
 	if c.NewAllocator == nil {
-		if c.WarmStart {
-			c.NewAllocator = func() core.Allocator { return core.NewWarmAllocator() }
-		} else {
-			c.NewAllocator = func() core.Allocator { return core.NewSolverAllocator() }
-		}
+		c.NewAllocator = func() core.Allocator { return core.NewSolverAllocator() }
 		if c.AllocName == "" {
 			c.AllocName = "proposed"
 		}
@@ -135,40 +117,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
-// simSession is one active session's streaming state, mirroring the server's
-// per-session estimators (delta_n and qbar_n are maintained exactly as
-// server.session does).
-type simSession struct {
-	spec  SessionSpec
-	trace motion.Trace
-	caps  []float64
-	pred  *motion.Predictor
-	acc   *metrics.UserQoE
-	inj   *chaos.Injector // nil without a chaos profile
-
-	t          int
-	sumViewedQ float64
-	covered    int
-	missed     int
-	served     int
-
-	// Per-slot build scratch, reused across slots. The rate/delay tables
-	// are consumed by the solve and outcome phases within the same slot,
-	// before the next build overwrites them.
-	selBuf    []tiles.TileID
-	ratesBuf  []float64
-	delaysBuf []float64
-}
-
-func (s *simSession) delta() float64 { return (1 + float64(s.covered)) / float64(1+s.t) }
-
-func (s *simSession) meanQ() float64 {
-	if s.t == 0 {
-		return 0
-	}
-	return s.sumViewedQ / float64(s.t)
-}
-
 // Simulate replays the workload through the full per-slot decision pipeline
 // (prediction, tile selection, rate tables, M/M/1 delay, allocation) in
 // virtual time, with session churn: sessions join the allocation problem at
@@ -188,17 +136,6 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		return nil, fmt.Errorf("load: empty workload")
 	}
 	horizon := w.Cfg.HorizonSlots
-	sps := w.Cfg.SlotsPerSecond
-	if sps <= 0 {
-		sps = 60
-	}
-	slotMs := 1000 / sps
-	deadlineMs := float64(cfg.DeadlineSlots) * slotMs
-	alloc := cfg.NewAllocator()
-	sizeModel := tiles.NewSizeModel(cfg.SizeModelSeed)
-	qoeParams := metrics.QoEParams{Alpha: cfg.Params.Alpha, Beta: cfg.Params.Beta}
-	lm := newLoadMetrics(cfg.Metrics)
-
 	byArrive := make(map[int][]SessionSpec)
 	for _, s := range w.Sessions {
 		byArrive[s.ArriveSlot] = append(byArrive[s.ArriveSlot], s)
@@ -211,71 +148,22 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		Spawned:        len(w.Sessions),
 		PeakConcurrent: w.PeakConcurrent(),
 	}
-	var active []*simSession
-	users := make([]core.UserInput, 0, 64)
-	type plan struct {
-		sess    *simSession
-		rates   []float64
-		cov     bool
-		cap_    float64
-		dropped bool // chaos lost this slot's content on the wire
-	}
-	plans := make([]plan, 0, 64)
-
-	finish := func(s *simSession) {
-		cfg.SLO.Retire(s.spec.ID)
-		cfg.Breaker.Retire(s.spec.ID)
-		out := SessionOutcome{
-			ID:       s.spec.ID,
-			Slots:    s.acc.Slots(),
-			QoE:      s.acc.QoE(),
-			Quality:  s.acc.AvgQuality(),
-			DelayMs:  s.acc.AvgDelay(),
-			Variance: s.acc.Variance(),
-			Coverage: s.acc.CoverageRate(),
-		}
-		if s.served > 0 {
-			out.MissFrac = float64(s.missed) / float64(s.served)
-		}
-		report.Outcomes = append(report.Outcomes, out)
-		report.Completed++
-		lm.observeOutcome(out)
-	}
-
-	serverInj := chaos.NewServerInjector(cfg.Chaos)
 	report.SlotQuality = make([]float64, 0, horizon)
-
-	var regretRef core.Allocator
-	if cfg.Recorder.Enabled() && cfg.RegretRef {
-		regretRef = core.DPOptimal{Resolution: cfg.RegretResolution}
-	}
-
-	// With the recorder off nothing retains the allocation past the slot,
-	// so heap-solver allocators can hand back their own scratch instead of
-	// cloning it (identical values, zero per-slot allocation).
-	var sharedAlloc core.SharedAllocator
-	if sa, ok := alloc.(core.SharedAllocator); ok && !cfg.Recorder.Enabled() {
-		sharedAlloc = sa
-	}
-	var problem core.SlotProblem
+	c := newSlotCore(w, &cfg, report)
+	solver := c.newSolver()
+	var active []*simSession
 
 	for slot := 0; slot < horizon; slot++ {
 		// Arrivals.
 		for _, spec := range byArrive[slot] {
-			active = append(active, &simSession{
-				spec:  spec,
-				trace: w.MotionTrace(spec, 0),
-				caps:  w.CapSlots(spec),
-				pred:  motion.NewPredictor(cfg.PredictorWindow),
-				acc:   metrics.NewUserQoE(qoeParams),
-				inj:   chaos.NewInjector(cfg.Chaos, spec.ID),
-			})
+			s := c.newSession(spec)
+			active = append(active, &s)
 		}
 		// Departures.
 		next := active[:0]
 		for _, s := range active {
 			if slot >= s.spec.DepartSlot {
-				finish(s)
+				c.finish(s)
 				continue
 			}
 			next = append(next, s)
@@ -287,230 +175,17 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 			continue
 		}
 
-		// Server-side faults: a stalled pipeline or slowed ACK path charges
-		// extra delay to every session this slot.
-		serverInj.Advance(slot)
-		stallMs := float64(serverInj.StallFor()+serverInj.AckDelay()) / float64(time.Millisecond)
-
-		// Build the slot problem over the active set, sharded by session
-		// index. Every shard reads shared immutable state (size model,
-		// coverage config) and writes only active[i]'s own fields and the
-		// i-th problem row, so the result is identical at any worker count.
-		users = slices.Grow(users[:0], len(active))[:len(active)]
-		plans = slices.Grow(plans[:0], len(active))[:len(active)]
-		parallelFor(len(active), cfg.Workers, func(i int) {
-			s := active[i]
-			local := slot - s.spec.ArriveSlot
-			actual := s.trace[local]
-			predicted := s.pred.Predict()
-			if local <= cfg.PredictorWindow {
-				predicted = actual
-			}
-			cell := tiles.CellFor(predicted.Pos)
-			s.selBuf = tiles.ForViewAppend(s.selBuf[:0], predicted, cfg.Coverage.FoV, cfg.Coverage.MarginDeg)
-			if s.ratesBuf == nil {
-				s.ratesBuf = make([]float64, tiles.Levels)
-				s.delaysBuf = make([]float64, tiles.Levels)
-			}
-			sizeModel.RateTableInto(s.ratesBuf, cell, s.selBuf)
-			cap_ := s.caps[local]
-			s.inj.Advance(slot)
-			// Chaos capacity faults: cliffs scale the link, a blackout zeroes
-			// it (MM1Delay then saturates and the frame misses); a per-slot
-			// drop loses the slot's content outright.
-			cap_ *= s.inj.SimCapFactor()
-			netem.DelayTableMsInto(s.delaysBuf, s.ratesBuf, cap_, slotMs)
-			users[i] = core.UserInput{
-				Rate:  s.ratesBuf,
-				Delay: s.delaysBuf,
-				Delta: s.delta(),
-				MeanQ: s.meanQ(),
-				Cap:   cap_,
-			}
-			plans[i] = plan{
-				sess: s, rates: s.ratesBuf,
-				cov:  cfg.Coverage.Covered(predicted, actual),
-				cap_: cap_, dropped: s.inj.Drop(),
-			}
-			s.pred.Observe(actual)
-		})
-		problem.T, problem.Budget, problem.Users = slot+1, cfg.BudgetMbps, users
-		var solveStart time.Time
-		if cfg.Tracer.Enabled() {
-			solveStart = time.Now()
-		}
-		var allocation core.Allocation
-		var slotTr *core.SlotTrace
-		if cfg.Recorder.Enabled() {
-			if ta, ok := alloc.(core.TracingAllocator); ok {
-				slotTr = &core.SlotTrace{TopK: cfg.CounterfactualK}
-				allocation = ta.AllocateTraced(cfg.Params, &problem, slotTr)
-			}
-		}
-		if slotTr == nil {
-			if sharedAlloc != nil {
-				// Levels alias the solver's scratch, valid until the next
-				// solve; the outcome phase below consumes them this slot.
-				allocation = sharedAlloc.AllocateShared(cfg.Params, &problem)
-			} else {
-				allocation = alloc.Allocate(cfg.Params, &problem)
-			}
-		}
-		var slotNs, solveNs int64
-		if cfg.Tracer.Enabled() {
-			solveNs = time.Since(solveStart).Nanoseconds()
-			slotNs = int64(float64(slot) * slotMs * 1e6)
-		}
-		if cfg.Recorder.Enabled() {
-			ids := make([]uint32, len(plans))
-			for i := range plans {
-				ids[i] = plans[i].sess.spec.ID
-			}
-			recordSimSlot(&cfg, slot, &problem, allocation, slotTr, ids, regretRef)
-		}
-
-		// Shared-egress overload: the allocator respects the budget when it
-		// can, but when even the mandatory minimum levels exceed it (the
-		// overload regime capacity search hunts for), delivering R Mbps of
-		// slot content over a B-Mbps egress takes R/B slot-times; the excess
-		// is charged to every session.
-		overloadMs := 0.0
-		if allocation.Rate > cfg.BudgetMbps && cfg.BudgetMbps > 0 {
-			overloadMs = (allocation.Rate/cfg.BudgetMbps - 1) * slotMs
-		}
-
-		qualitySum := 0.0
-		for i, p := range plans {
-			q := allocation.Levels[i]
-			// Graceful degradation: while the session's SLO burns, the
-			// breaker caps its quality — shedding load (bytes) before
-			// shedding the user.
-			if bcap := cfg.Breaker.Cap(p.sess.spec.ID); bcap > 0 && q > bcap {
-				q = bcap
-				report.DegradedSlots++
-			}
-			rate := p.rates[q-1]
-			delay := netem.DelayMs(rate, p.cap_, slotMs) + overloadMs + stallMs
-			covered := p.cov
-			missed := p.dropped || delay > deadlineMs
-			if missed {
-				// The frame is dropped, not displayed late: clamp the
-				// charged delay at the pipeline bound (as the client does)
-				// and void its coverage.
-				covered = false
-				delay = deadlineMs
-			}
-			s := p.sess
-			s.served++
-			if missed {
-				s.missed++
-			}
-			s.t++
-			if covered {
-				s.covered++
-				s.sumViewedQ += float64(q)
-			}
-			s.acc.Observe(q, covered, delay)
-			s.acc.ObserveFrame(!missed)
-
-			quality := float64(q)
-			if missed {
-				quality = 0
-			}
-			qualitySum += quality
-			cfg.SLO.ObserveSlot(s.spec.ID, !missed, quality)
-			cfg.Breaker.Observe(s.spec.ID, cfg.SLO.State(s.spec.ID))
-
-			if tr := cfg.Tracer; tr.Enabled() {
-				user, vslot := s.spec.ID, uint32(slot)
-				tid := trace.TileTraceID(cfg.TraceEpoch, user, vslot)
-				delayNs := int64(delay * 1e6)
-				// rate Mbps over a slotMs slot = rate*slotMs*125 bytes.
-				bytes := int(rate * slotMs * 125)
-
-				d := tr.StartAt(tid, trace.StageDecide, trace.SideServer, user, vslot, slotNs)
-				d.SetAlgo(cfg.AllocName)
-				d.SetLevel(q)
-				d.SetTiles(len(plans))
-				d.EndAt(slotNs + solveNs)
-
-				tx := tr.StartAt(tid, trace.StageSend, trace.SideServer, user, vslot, slotNs)
-				tx.SetLevel(q)
-				tx.SetBytes(bytes)
-				tx.EndAt(slotNs + delayNs)
-
-				rx := tr.StartAt(tid, trace.StageRecv, trace.SideClient, user, vslot, slotNs)
-				rx.SetBytes(bytes)
-				rx.EndAt(slotNs + delayNs)
-
-				disp := tr.StartAt(tid, trace.StageDisplay, trace.SideClient, user, vslot, slotNs+delayNs)
-				disp.SetLevel(q)
-				if missed {
-					disp.SetOutcome(trace.OutcomeMissed)
-				} else {
-					disp.SetOutcome(trace.OutcomeDisplayed)
-				}
-				disp.EndAt(slotNs + delayNs)
-			}
-		}
-		report.SlotQuality = append(report.SlotQuality, qualitySum/float64(len(plans)))
+		stallMs := c.stallMs(slot)
+		c.build(slot, active, 1, cfg.Workers)
+		allocation, solveNs := c.solve(solver, slot, cfg.BudgetMbps)
+		qualitySum := c.settle(slot, allocation, cfg.BudgetMbps, stallMs, solveNs)
+		report.SlotQuality = append(report.SlotQuality, qualitySum/float64(len(active)))
 		cfg.Health.Sample(int64(slot))
 	}
 	// Sessions alive at the horizon end complete there.
 	for _, s := range active {
-		finish(s)
+		c.finish(s)
 	}
 	sortOutcomes(report.Outcomes)
 	return report, nil
-}
-
-// recordSimSlot builds and records the decision flight-recorder entry for
-// one simulated slot: the chosen allocation with its per-user objective
-// decomposition, the trace's rejections and counterfactual alternatives,
-// and (when a regret reference is configured) the DP optimum's view of the
-// same problem. Every slice is freshly allocated because the recorder ring
-// and the attributor alias them.
-func recordSimSlot(cfg *SimConfig, slot int, p *core.SlotProblem, a core.Allocation,
-	tr *core.SlotTrace, ids []uint32, ref core.Allocator) {
-	rec := obs.SlotRecord{
-		Algorithm:  cfg.AllocName,
-		Slot:       slot,
-		Levels:     a.Levels,
-		Value:      a.Value,
-		RateMbps:   a.Rate,
-		BudgetMbps: p.Budget,
-		SessionIDs: ids,
-		UserValues: make([]float64, len(p.Users)),
-	}
-	if p.Budget > 0 {
-		rec.Utilization = a.Rate / p.Budget
-	}
-	if tr != nil {
-		rec.Branch = tr.Branch
-		rec.Upgrades = tr.Upgrades
-		rec.Rejections = tr.Rejections
-		rec.Alternatives = tr.Alternatives
-	}
-	for i := range p.Users {
-		terms := core.ObjectiveTerms(cfg.Params, p.T, p.Users[i], a.Levels[i])
-		rec.UserValues[i] = terms.Quality - terms.Delay - terms.Variance
-		rec.QualityTerm += terms.Quality
-		rec.DelayTerm += terms.Delay
-		rec.VarianceTerm += terms.Variance
-	}
-	if ref != nil {
-		opt := ref.Allocate(cfg.Params, p)
-		rec.HasRegret = true
-		rec.OptimalValue = opt.Value
-		// Sub-1e-9 differences are summation-order noise between the DP and
-		// greedy engines evaluating the same allocation; call them a tie.
-		if r := opt.Value - a.Value; r > 1e-9 {
-			rec.Regret = r
-		}
-		rec.UserRegret = make([]float64, len(p.Users))
-		for i := range p.Users {
-			rec.UserRegret[i] = core.Objective(cfg.Params, p.T, p.Users[i], opt.Levels[i]) - rec.UserValues[i]
-		}
-	}
-	cfg.Recorder.Record(&rec)
 }

@@ -2,6 +2,7 @@ package load
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -176,5 +177,49 @@ func TestRunLiveTracePropagation(t *testing.T) {
 	a := trace.Analyze(spans, 3)
 	if a.Stitched == 0 {
 		t.Fatalf("no stitched traces (%d traces, %d spans)", a.Traces, len(spans))
+	}
+}
+
+// TestSimulateFleetEmitsSpans checks the fleet honours Sim.Tracer through
+// the shared slot core: every served session-slot yields one display span,
+// and tracing does not move a bit of the report.
+func TestSimulateFleetEmitsSpans(t *testing.T) {
+	w, err := Generate(Config{Shape: Steady, Sessions: 6, HorizonSlots: 120, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := SimulateFleet(w, FleetSimConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	exp := trace.NewExporter(trace.ExporterOptions{RingSize: 1 << 14, Writer: &buf, Sync: true})
+	cfg := FleetSimConfig{Shards: 2}
+	cfg.Sim.Tracer = trace.New(trace.Options{Exporter: exp})
+	traced, err := SimulateFleet(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Fatal("tracing changed the fleet report")
+	}
+	spans, err := trace.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	displays, slots := 0, 0
+	for _, sp := range spans {
+		if sp.Stage == trace.StageDisplay {
+			displays++
+		}
+	}
+	for _, o := range traced.Outcomes {
+		slots += o.Slots
+	}
+	if displays == 0 || displays != slots {
+		t.Errorf("display spans %d, served session-slots %d", displays, slots)
 	}
 }

@@ -95,9 +95,9 @@ func (s *Server) ExportSession(user uint32) (*HandoffState, error) {
 		FromShard:  s.cfg.ShardID,
 		Slot:       slot,
 		Epoch:      epoch,
-		T:          sess.t,
-		SumViewedQ: sess.sumViewedQ,
-		Covered:    sess.covered,
+		T:          sess.T,
+		SumViewedQ: sess.SumViewedQ,
+		Covered:    sess.Covered,
 		EstMbps:    sess.ema.Value(),
 		EMAPrimed:  sess.ema.Primed(),
 		CapSamples: append([]float64(nil), sess.capSamples...),
@@ -224,9 +224,9 @@ func (s *Server) DropAdopted(user uint32) bool {
 func (sess *session) resume(st *HandoffState) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sess.t = st.T
-	sess.sumViewedQ = st.SumViewedQ
-	sess.covered = st.Covered
+	sess.T = st.T
+	sess.SumViewedQ = st.SumViewedQ
+	sess.Covered = st.Covered
 	if st.EMAPrimed && st.EstMbps > 0 {
 		// The EMA's first Update adopts the sample directly, so the
 		// estimate continues exactly where the exporting shard left it.

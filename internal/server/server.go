@@ -305,11 +305,8 @@ type session struct {
 	ledger    *tiles.DeliveryLedger
 	ema       *estimate.EMA
 
-	// Streaming state for h_n: observed slots, viewed-quality sum, covered
-	// count (the same semantics as core.Tracker, but per dynamic session).
-	t          int
-	sumViewedQ float64
-	covered    int
+	// Streaming state for h_n (delta_n, qbar_n).
+	core.SessionQoE
 
 	// handoff marks a session exported to another shard: retirement keeps
 	// the fleet-shared SLO window and breaker state alive (the adopting
@@ -656,7 +653,7 @@ func (s *Server) Stats() []UserStats {
 			TilesSent:    sess.tilesSent,
 			TilesSkipped: sess.tilesSkipped,
 			Retransmits:  sess.retransmits,
-			Delta:        sess.deltaLocked(),
+			Delta:        sess.Delta(),
 			EstMbps:      sess.ema.Value(),
 		}
 		if sess.slotsServed > 0 {
@@ -824,9 +821,21 @@ func (s *Server) retireSession(sess *session) {
 	}
 	sess.retired = true
 	served := sess.slotsServed
-	meanQ := sess.meanQLocked()
+	meanQ := sess.MeanQ()
 	handedOff := sess.handoff
 	sess.mu.Unlock()
+
+	// The counters move before the session leaves the map, so an observer
+	// that sees it gone also sees it counted.
+	s.metrics.sessionsActive.Add(-1)
+	if handedOff {
+		s.metrics.handoffsOut.Inc()
+	} else {
+		s.metrics.sessionsLeft.Inc()
+		if served > 0 {
+			s.metrics.sessionMeanQ.Observe(meanQ)
+		}
+	}
 
 	s.mu.Lock()
 	current := false
@@ -846,15 +855,6 @@ func (s *Server) retireSession(sess *session) {
 	}
 	sess.ctrl.Close()
 	sess.closeSend()
-	s.metrics.sessionsActive.Add(-1)
-	if handedOff {
-		s.metrics.handoffsOut.Inc()
-		return
-	}
-	s.metrics.sessionsLeft.Inc()
-	if served > 0 {
-		s.metrics.sessionMeanQ.Observe(meanQ)
-	}
 }
 
 // sendLoop transmits one slot's tile batch at a time, absorbing the
@@ -1001,11 +1001,7 @@ func (s *Server) handleACK(sess *session, ack transport.TileACK) {
 	if ok {
 		delete(sess.allocated, ack.Slot)
 		// Streaming QoE state (drives MeanQ and delta of h_n).
-		sess.t++
-		if ack.Covered {
-			sess.covered++
-			sess.sumViewedQ += float64(rec.level)
-		}
+		sess.Observe(rec.level, ack.Covered)
 		quality := 0.0
 		if ack.Displayed {
 			quality = float64(rec.level)
@@ -1142,17 +1138,6 @@ func (sess *session) capEstimateLocked(fallback float64) float64 {
 		}
 	}
 	return est
-}
-
-func (sess *session) deltaLocked() float64 {
-	return (1 + float64(sess.covered)) / float64(1+sess.t)
-}
-
-func (sess *session) meanQLocked() float64 {
-	if sess.t == 0 {
-		return 0
-	}
-	return sess.sumViewedQ / float64(sess.t)
 }
 
 // slotLoop is the per-slot decision pipeline.
@@ -1313,8 +1298,8 @@ func (s *Server) buildOne(i int) {
 	s.userBuf[i] = core.UserInput{
 		Rate:  sess.ratesBuf,
 		Delay: sess.delaysBuf,
-		Delta: sess.deltaLocked(),
-		MeanQ: sess.meanQLocked(),
+		Delta: sess.Delta(),
+		MeanQ: sess.MeanQ(),
 		Cap:   capEst,
 	}
 	sess.mu.Unlock()

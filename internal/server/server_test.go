@@ -409,8 +409,8 @@ func TestHandleACKUpdatesEstimates(t *testing.T) {
 	if got := sess.ema.Value(); got < 40 || got > 56 {
 		t.Errorf("EMA estimate = %v, want about 48", got)
 	}
-	if sess.t != 1 || sess.covered != 1 || sess.sumViewedQ != 4 {
-		t.Errorf("QoE state = t%d covered%d sum%v", sess.t, sess.covered, sess.sumViewedQ)
+	if sess.T != 1 || sess.Covered != 1 || sess.SumViewedQ != 4 {
+		t.Errorf("QoE state = t%d covered%d sum%v", sess.T, sess.Covered, sess.SumViewedQ)
 	}
 	if len(sess.delayRates) != 1 || sess.delayRates[0] != 30 {
 		t.Errorf("delay sample not recorded: %v", sess.delayRates)

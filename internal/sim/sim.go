@@ -167,7 +167,10 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 	for i, alg := range algorithms {
 		results[i] = &Result{Name: alg.Name}
 	}
-	var mu sync.Mutex
+	// Each run lands in its own slot and the slots are concatenated in run
+	// order, so the per-sample output is independent of which goroutine
+	// finished first.
+	byRun := make([][]*Result, cfg.Runs)
 
 	// Workers: one run at a time per goroutine.
 	workers := runtime.GOMAXPROCS(0)
@@ -187,15 +190,7 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 					errCh <- err
 					continue
 				}
-				mu.Lock()
-				for i, rr := range runResults {
-					results[i].QoE = append(results[i].QoE, rr.QoE...)
-					results[i].Quality = append(results[i].Quality, rr.Quality...)
-					results[i].Delay = append(results[i].Delay, rr.Delay...)
-					results[i].Variance = append(results[i].Variance, rr.Variance...)
-					results[i].Fairness = append(results[i].Fairness, rr.Fairness...)
-				}
-				mu.Unlock()
+				byRun[run] = runResults
 			}
 		}()
 	}
@@ -208,6 +203,15 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 	case err := <-errCh:
 		return nil, err
 	default:
+	}
+	for _, runResults := range byRun {
+		for i, rr := range runResults {
+			results[i].QoE = append(results[i].QoE, rr.QoE...)
+			results[i].Quality = append(results[i].Quality, rr.Quality...)
+			results[i].Delay = append(results[i].Delay, rr.Delay...)
+			results[i].Variance = append(results[i].Variance, rr.Variance...)
+			results[i].Fairness = append(results[i].Fairness, rr.Fairness...)
+		}
 	}
 	return results, nil
 }
