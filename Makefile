@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline perfbench-test clean
+.PHONY: all build vet test race lint bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline perfbench-test flake-sweep clean
 
 all: build vet test
 
@@ -28,7 +28,7 @@ race:
 	$(GO) test -race ./internal/... ./cmd/...
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke perfbench-test
+ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke perfbench-test flake-sweep
 
 # Full benchmark pass: the allocator and slot-loop JSON reports (each run
 # also appended as a timestamped entry to the results/bench_history.jsonl
@@ -56,12 +56,11 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzDynamicProgram$$' -fuzztime 10s ./internal/knapsack
-	$(GO) test -run '^$$' -fuzz '^FuzzWarmGreedy$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordLog$$' -fuzztime 10s ./internal/fleet/coord
 
 # Slot-loop smoke (< 60 s): the 10k-session virtual-time differential —
-# serial cold, sharded-build, and warm-start campaigns must produce
-# bit-identical reports — then the solver allocation gate.
+# serial and sharded-build campaigns must produce bit-identical reports —
+# then the solver allocation gate.
 slotloop-smoke:
 	@mkdir -p results
 	$(GO) run ./cmd/collabvr-bench -slotloop-smoke -seed 3 | tee results/slotloop_smoke.txt
@@ -188,6 +187,13 @@ health-smoke:
 perfbench-test:
 	GOWORK=off $(GO) -C perfbench vet ./...
 	GOWORK=off $(GO) -C perfbench test ./...
+
+# Flake sweep (< 60 s): repeat the live-socket tests that have flaked on
+# scheduling before, so a timing-dependent assertion fails here rather than
+# one run in five.
+flake-sweep:
+	$(GO) test -count=10 -run '^TestLiveMigrationWelcomeResume$$' ./internal/fleet
+	$(GO) test -count=10 -run '^TestServerRetiresDepartedSessions$$' ./internal/server
 
 # Regenerate the checked-in health baseline from the same seeded campaign
 # (run after a deliberate behavior change, then commit the new baseline).

@@ -1,9 +1,9 @@
 package main
 
-// The -allocator mode: a microbenchmark of the per-slot allocator engines
-// (heap Solver, original reference scan, and the sharded SolveBatch) on
-// lowered slot problems at several user counts, written as one JSON report
-// so CI and EXPERIMENTS.md have a machine-readable baseline.
+// The -allocator mode: a microbenchmark of the per-slot Algorithm 1 engine
+// (the heap Solver) against the original reference scan it is tested
+// against, on lowered slot problems at several user counts, written as one
+// JSON report so CI and EXPERIMENTS.md have a machine-readable baseline.
 
 import (
 	"encoding/json"
@@ -61,7 +61,7 @@ func allocBenchProblem(rng *rand.Rand, params core.Params, n int) *knapsack.Prob
 	return core.LowerProblem(params, p)
 }
 
-func allocBenchRowFrom(name string, n int, solvesPerOp float64, r testing.BenchmarkResult) allocBenchRow {
+func allocBenchRowFrom(name string, n int, r testing.BenchmarkResult) allocBenchRow {
 	ns := float64(r.NsPerOp())
 	row := allocBenchRow{
 		Name:        name,
@@ -71,7 +71,7 @@ func allocBenchRowFrom(name string, n int, solvesPerOp float64, r testing.Benchm
 		BytesPerOp:  r.AllocedBytesPerOp(),
 	}
 	if ns > 0 {
-		row.SolvesPerSec = solvesPerOp * 1e9 / ns
+		row.SolvesPerSec = 1e9 / ns
 	}
 	return row
 }
@@ -83,7 +83,7 @@ func runAllocatorBench(seed int64, outPath string) error {
 	sizes := []int{5, 30, 200, 1000}
 	report := allocBenchReport{
 		Comment: "per-slot allocator microbenchmark; solver = heap-based incremental greedy, " +
-			"reference = original rescan greedy, batch = SolveBatch over 256 independent N=30 slots",
+			"reference = original rescan greedy",
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -101,7 +101,7 @@ func runAllocatorBench(seed int64, outPath string) error {
 				s.Combined(p)
 			}
 		})
-		report.Rows = append(report.Rows, allocBenchRowFrom("solver", n, 1, solver))
+		report.Rows = append(report.Rows, allocBenchRowFrom("solver", n, solver))
 
 		reference := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -109,22 +109,8 @@ func runAllocatorBench(seed int64, outPath string) error {
 				p.ReferenceCombined()
 			}
 		})
-		report.Rows = append(report.Rows, allocBenchRowFrom("reference", n, 1, reference))
+		report.Rows = append(report.Rows, allocBenchRowFrom("reference", n, reference))
 	}
-
-	const batchSlots, batchN = 256, 30
-	rng := rand.New(rand.NewSource(seed ^ 0xBA7C4))
-	problems := make([]*knapsack.Problem, batchSlots)
-	for i := range problems {
-		problems[i] = allocBenchProblem(rng, params, batchN)
-	}
-	batch := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			knapsack.SolveBatch(problems, 0)
-		}
-	})
-	report.Rows = append(report.Rows, allocBenchRowFrom("batch", batchN, batchSlots, batch))
 
 	raw, err := json.MarshalIndent(&report, "", " ")
 	if err != nil {

@@ -46,9 +46,9 @@ func run(args []string) error {
 		spans    = fs.Bool("spans", false, "run a traced simulation campaign and print the end-to-end span analysis")
 		spanOut  = fs.String("span-out", "", "with -spans: also write the span JSONL to this file")
 
-		slotloop      = fs.Bool("slotloop", false, "run the slot-loop benchmark suite (warm-start solver, sharded campaign, batched sender) and write -slotloop-out")
+		slotloop      = fs.Bool("slotloop", false, "run the slot-loop benchmark suite (sharded campaign, batched sender) and write -slotloop-out")
 		slotloopOut   = fs.String("slotloop-out", "BENCH_slotloop.json", "JSON report path for -slotloop")
-		slotloopSmoke = fs.Bool("slotloop-smoke", false, "run the fast slot-loop equivalence differential (sharded and warm-start campaigns vs serial cold) and exit")
+		slotloopSmoke = fs.Bool("slotloop-smoke", false, "run the fast slot-loop equivalence differential (sharded campaign vs serial) and exit")
 
 		coordBench = fs.Bool("coord", false, "run the replicated-coordinator cost guard (0 allocs/op Propose, <5% slot-loop overhead at 1 replica) and write -coord-out")
 		coordOut   = fs.String("coord-out", "BENCH_coord.json", "JSON report path for -coord")

@@ -1,16 +1,15 @@
 package main
 
-// The -slotloop mode: benchmarks of the slot-loop fast paths — warm-start
-// solver resolves against cold solves at fixed T, the sharded virtual-time
-// campaign against the serial engine, and the batched UDP sender against
-// per-tile sends — written as one JSON report (BENCH_slotloop.json). The
-// -slotloop-smoke mode is the fast differential: a 10k-session campaign
-// must be bit-identical across serial, sharded, and warm-start runs.
+// The -slotloop mode: benchmarks of the slot-loop fast paths — the sharded
+// virtual-time campaign against the serial engine, and the batched UDP
+// sender against per-tile sends — written as one JSON report
+// (BENCH_slotloop.json). The -slotloop-smoke mode is the fast
+// differential: a 10k-session campaign must be bit-identical across serial
+// and sharded runs.
 
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"reflect"
@@ -18,8 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/knapsack"
 	"repro/internal/load"
 	"repro/internal/tiles"
 	"repro/internal/transport"
@@ -27,17 +24,14 @@ import (
 
 type slotloopRow struct {
 	Name string `json:"name"`
-	// N is the problem scale: users for the solver rows, sessions for the
-	// sim row, tiles per flush for the sender row.
-	N     int `json:"n"`
-	Slots int `json:"slots,omitempty"`
-	// DirtyPerSlot is how many users' ladders are perturbed between
-	// consecutive solver resolves.
-	DirtyPerSlot int     `json:"dirty_per_slot,omitempty"`
-	BaselineNs   float64 `json:"baseline_ns_per_op"`
-	OptimizedNs  float64 `json:"optimized_ns_per_op"`
-	Speedup      float64 `json:"speedup"`
-	Note         string  `json:"note,omitempty"`
+	// N is the problem scale: sessions for the sim row, tiles per flush
+	// for the sender row.
+	N           int     `json:"n"`
+	Slots       int     `json:"slots,omitempty"`
+	BaselineNs  float64 `json:"baseline_ns_per_op"`
+	OptimizedNs float64 `json:"optimized_ns_per_op"`
+	Speedup     float64 `json:"speedup"`
+	Note        string  `json:"note,omitempty"`
 }
 
 type slotloopReport struct {
@@ -48,89 +42,6 @@ type slotloopReport struct {
 	NumCPU    int           `json:"num_cpu"`
 	Date      string        `json:"date"`
 	Rows      []slotloopRow `json:"rows"`
-}
-
-// perturb scales k deterministic items' value ladders, the sparse-churn
-// regime the warm solver's pick-log replay is built for: same shape, same
-// budget, a handful of re-estimated sessions.
-func perturb(p *knapsack.Problem, rng *rand.Rand, k int) {
-	for j := 0; j < k; j++ {
-		it := &p.Items[rng.Intn(len(p.Items))]
-		f := 0.95 + rng.Float64()*0.1
-		for q := range it.Values {
-			it.Values[q] *= f
-		}
-	}
-}
-
-// benchWarmVsCold measures cold full solves vs warm-started resolves over
-// the same perturbation sequence at fixed T (the regime the server's slot
-// loop hits when sessions re-estimate between slots), and cross-checks
-// that both engines pick identical levels before timing anything.
-func benchWarmVsCold(seed int64, n, slots int) (slotloopRow, error) {
-	params := core.DefaultSimParams()
-	dirty := n / 100
-	if dirty < 1 {
-		dirty = 1
-	}
-
-	// Differential first: the speedup is worthless if the answers differ.
-	coldP := allocBenchProblem(rand.New(rand.NewSource(seed)), params, n)
-	warmP := allocBenchProblem(rand.New(rand.NewSource(seed)), params, n)
-	var cold knapsack.Solver
-	warm := knapsack.NewWarmSolver()
-	coldRng := rand.New(rand.NewSource(seed ^ 0x5107))
-	warmRng := rand.New(rand.NewSource(seed ^ 0x5107))
-	for s := 0; s < slots; s++ {
-		perturb(coldP, coldRng, dirty)
-		perturb(warmP, warmRng, dirty)
-		cs := cold.Combined(coldP)
-		ws := warm.Combined(warmP)
-		if cs.Value != ws.Value || !reflect.DeepEqual(cs.Levels, ws.Levels) {
-			return slotloopRow{}, fmt.Errorf("warm/cold diverged at n=%d slot %d: value %v vs %v", n, s, cs.Value, ws.Value)
-		}
-	}
-	st := warm.Stats()
-	if st.Warm == 0 {
-		return slotloopRow{}, fmt.Errorf("warm solver never took the replay path at n=%d (stats %+v)", n, st)
-	}
-
-	coldBench := testing.Benchmark(func(b *testing.B) {
-		p := allocBenchProblem(rand.New(rand.NewSource(seed)), params, n)
-		rng := rand.New(rand.NewSource(seed ^ 0x5107))
-		var s knapsack.Solver
-		s.Combined(p) // steady-state scratch, as the server sees it
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			perturb(p, rng, dirty)
-			s.Combined(p)
-		}
-	})
-	warmBench := testing.Benchmark(func(b *testing.B) {
-		p := allocBenchProblem(rand.New(rand.NewSource(seed)), params, n)
-		rng := rand.New(rand.NewSource(seed ^ 0x5107))
-		s := knapsack.NewWarmSolver()
-		s.Combined(p)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			perturb(p, rng, dirty)
-			s.Combined(p)
-		}
-	})
-
-	row := slotloopRow{
-		Name:         "solver_warm_vs_cold",
-		N:            n,
-		Slots:        slots,
-		DirtyPerSlot: dirty,
-		BaselineNs:   float64(coldBench.NsPerOp()),
-		OptimizedNs:  float64(warmBench.NsPerOp()),
-		Note:         fmt.Sprintf("fixed T, %d/%d items re-estimated per slot; bit-identical levels verified over %d slots", dirty, n, slots),
-	}
-	if row.OptimizedNs > 0 {
-		row.Speedup = row.BaselineNs / row.OptimizedNs
-	}
-	return row, nil
 }
 
 // slotloopWorkload is the shared 10k-session churn campaign used by both
@@ -150,7 +61,7 @@ func slotloopWorkload(seed int64, sessions, horizon int) (*load.Workload, error)
 // benchSimSharded times the 10k-session virtual-time campaign serial vs
 // sharded across GOMAXPROCS workers. On a single-core host this is honest
 // about being ~1x — the sharded path's value there is that it costs
-// nothing, while the warm-start row carries the per-slot win.
+// nothing.
 func benchSimSharded(seed int64, sessions, horizon int) (slotloopRow, error) {
 	w, err := slotloopWorkload(seed, sessions, horizon)
 	if err != nil {
@@ -234,12 +145,12 @@ func benchSenderBatch(batch, payloadBytes int) slotloopRow {
 	return row
 }
 
-// runSlotloopBench executes the three slot-loop benchmarks and writes the
-// JSON report to outPath.
+// runSlotloopBench executes the slot-loop benchmarks and writes the JSON
+// report to outPath.
 func runSlotloopBench(seed int64, outPath string) error {
 	report := slotloopReport{
-		Comment: "slot-loop fast paths: warm-start solver resolve vs cold solve at fixed T, " +
-			"sharded vs serial virtual-time campaign, batched vs per-tile UDP send",
+		Comment: "slot-loop fast paths: sharded vs serial virtual-time campaign, " +
+			"batched vs per-tile UDP send",
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -247,13 +158,6 @@ func runSlotloopBench(seed int64, outPath string) error {
 		Date:      time.Now().UTC().Format(time.RFC3339),
 	}
 
-	for _, n := range []int{1000, 10000} {
-		row, err := benchWarmVsCold(seed, n, 50)
-		if err != nil {
-			return err
-		}
-		report.Rows = append(report.Rows, row)
-	}
 	simRow, err := benchSimSharded(seed, 10_000, 1200)
 	if err != nil {
 		return err
@@ -281,8 +185,8 @@ func runSlotloopBench(seed int64, outPath string) error {
 }
 
 // runSlotloopSmoke is the CI differential: a 10k-session churn campaign
-// must produce bit-identical reports from the serial cold engine, the
-// sharded build, and the warm-start solver.
+// must produce bit-identical reports from the serial engine and the
+// sharded build.
 func runSlotloopSmoke(seed int64) error {
 	w, err := slotloopWorkload(seed, 10_000, 1200)
 	if err != nil {
@@ -294,23 +198,14 @@ func runSlotloopSmoke(seed int64) error {
 	if err != nil {
 		return err
 	}
-	for _, v := range []struct {
-		name string
-		cfg  load.SimConfig
-	}{
-		{"sharded", load.SimConfig{Workers: 4}},
-		{"warm-start", load.SimConfig{Workers: 4, AllocName: "proposed",
-			NewAllocator: func() core.Allocator { return core.NewWarmAllocator() }}},
-	} {
-		rep, err := load.Simulate(w, v.cfg)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(base, rep) {
-			return fmt.Errorf("%s campaign diverged from serial cold baseline", v.name)
-		}
-		fmt.Printf("# %-10s matches serial cold baseline (%d sessions completed)\n", v.name, rep.Completed)
+	rep, err := load.Simulate(w, load.SimConfig{Workers: 4})
+	if err != nil {
+		return err
 	}
+	if !reflect.DeepEqual(base, rep) {
+		return fmt.Errorf("sharded campaign diverged from serial baseline")
+	}
+	fmt.Printf("# sharded matches serial baseline (%d sessions completed)\n", rep.Completed)
 	fmt.Println("slotloop equivalence: OK")
 	return nil
 }

@@ -243,10 +243,7 @@ func run(args []string, out io.Writer) error {
 		logf = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	}
 
-	newAlloc := func() core.Allocator {
-		a, _ := baseline.AllocatorByName(*algo)
-		return a
-	}
+	newAlloc := baseline.MustFactory(*algo)
 	rebalance := fleet.RebalanceConfig{EverySlots: *rebSlots}
 	// withChaos selects the fault schedule; withObs wires the shared
 	// registry/SLO/breaker/recorder. Verification runs use withObs=false so

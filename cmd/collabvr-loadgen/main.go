@@ -112,10 +112,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	newAlloc := func() core.Allocator {
-		a, _ := baseline.AllocatorByName(*algo)
-		return a
-	}
+	newAlloc := baseline.MustFactory(*algo)
 	params := core.DefaultSystemParams()
 	params.Alpha = *alpha
 	params.Beta = *beta

@@ -47,7 +47,6 @@ func run(args []string) error {
 		beta       = fs.Float64("beta", 0.5, "QoE variance weight")
 		httpAddr   = fs.String("http", "", "observability HTTP listen address serving /metrics and /debug/slots (empty = disabled)")
 		ringSize   = fs.Int("slots-ring", 1024, "flight-recorder ring capacity (records kept for /debug/slots, which also reports capacity and drop count)")
-		ringOld    = fs.Int("trace-ring", 0, "deprecated alias for -slots-ring")
 		counterK   = fs.Int("counterfactual-k", 0, "record the top-K unchosen upgrades per slot (0 = off; served on /debug/slots and /debug/regret)")
 		debug      = fs.Bool("debug", false, "expose pprof, /debug/runtime and runtime gauges on the -http mux")
 		spanOut    = fs.String("span-out", "", "write server-side request spans to this JSONL file (analyze with collabvr-spans)")
@@ -139,12 +138,8 @@ func run(args []string) error {
 		if cfg.Metrics == nil {
 			cfg.Metrics = obs.NewRegistry()
 		}
-		ring := *ringSize
-		if *ringOld > 0 {
-			ring = *ringOld
-		}
 		attr := obs.NewRegretAttributor(obs.RegretAttributorOptions{Registry: cfg.Metrics})
-		rec = obs.NewRecorder(obs.RecorderOptions{RingSize: ring, Attributor: attr})
+		rec = obs.NewRecorder(obs.RecorderOptions{RingSize: *ringSize, Attributor: attr})
 		cfg.Recorder = rec
 		cfg.CounterfactualK = *counterK
 		ln, err := net.Listen("tcp", *httpAddr)

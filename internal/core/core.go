@@ -218,7 +218,12 @@ func fromKnapsack(sol knapsack.Solution) Allocation {
 }
 
 // DVGreedy is Algorithm 1 of the paper: the better of a density-greedy and
-// a value-greedy pass over the quality-upgrade increments.
+// a value-greedy pass over the quality-upgrade increments. It is the
+// stateless entry point to the one production engine: each call lowers the
+// slot afresh and solves it on a pooled heap knapsack.Solver (via
+// Problem.Combined). SolverAllocator runs the same engine on scratch it
+// keeps across slots; the rescan Reference* methods of internal/knapsack
+// are only the test oracle.
 type DVGreedy struct{}
 
 // Name implements Allocator.

@@ -88,31 +88,6 @@ func TestSolverAllocatorLevelsNotAliased(t *testing.T) {
 	}
 }
 
-// TestAllocateBatchMatchesSequential checks the batch API returns, in order,
-// exactly what per-problem Allocate returns, for several worker counts.
-func TestAllocateBatchMatchesSequential(t *testing.T) {
-	params := DefaultSimParams()
-	rng := rand.New(rand.NewSource(79))
-	problems := make([]*SlotProblem, 37)
-	want := make([]Allocation, len(problems))
-	for i := range problems {
-		problems[i] = randomSlotProblem(rng, params, 1+rng.Intn(25))
-		want[i] = DVGreedy{}.Allocate(params, problems[i])
-	}
-	for _, workers := range []int{-1, 0, 1, 2, 7, 64} {
-		got := AllocateBatch(params, problems, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			equalAllocations(t, want[i], got[i], fmt.Sprintf("workers=%d problem %d", workers, i))
-		}
-	}
-	if out := AllocateBatch(params, nil, 4); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
-	}
-}
-
 // TestLowerProblemMatchesAllocator checks the exported lowering is the one
 // the allocators solve: feeding it to the knapsack solver reproduces
 // DVGreedy bit-for-bit.

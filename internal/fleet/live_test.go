@@ -125,6 +125,14 @@ func TestLiveMigrationWelcomeResume(t *testing.T) {
 		t.Fatalf("Owner(%d) = %d after migration, want 1", user, got)
 	}
 
+	// SLO window continuity: the shared monitor was never retired for the
+	// user, so the adopting shard kept filling the same window. Read it
+	// while the session is live on shard 1: once the client finishes, the
+	// adopting shard retires the session and its window with it.
+	if after := sloSlots(); after < slotsBefore {
+		t.Errorf("SLO window shrank across migration: %d -> %d slots", slotsBefore, after)
+	}
+
 	out := <-done
 	if out.err != nil {
 		t.Fatalf("client: %v", out.err)
@@ -145,12 +153,6 @@ func TestLiveMigrationWelcomeResume(t *testing.T) {
 	}
 	if got := reg.Counter("collabvr_server_sessions_handoff_in_total").Value(); got != 1 {
 		t.Errorf("handoff_in_total = %d, want 1", got)
-	}
-
-	// SLO window continuity: the shared monitor was never retired for the
-	// user, so the adopting shard kept filling the same window.
-	if after := sloSlots(); after < slotsBefore {
-		t.Errorf("SLO window shrank across migration: %d -> %d slots", slotsBefore, after)
 	}
 
 	// Trace stitching after the handoff: some trace started after the

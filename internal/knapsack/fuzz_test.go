@@ -96,65 +96,6 @@ func FuzzGreedy(f *testing.F) {
 	})
 }
 
-// FuzzWarmGreedy drives the warm-started solver through a fuzzed
-// perturbation sequence: a base problem followed by several rounds of
-// single-entry mutations (values, weights, caps, budget). Every round the
-// warm solve — which may replay, diverge, or fall back cold — must match a
-// from-scratch cold solve bit for bit, traces and top-K alternatives
-// included.
-func FuzzWarmGreedy(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3, 2, 0, 64, 0, 0, 1, 0, 0, 128, 2, 1, 0, 0, 3, 99})
-	f.Add([]byte("knapsack-warm-seed"))
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 4; i++ {
-		raw := make([]byte, 16+rng.Intn(96))
-		rng.Read(raw)
-		f.Add(raw)
-	}
-	ws := NewWarmSolver()
-	var cold Solver
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &fuzzReader{data: data}
-		p := decodeProblem(r, 8, 6, false)
-		ws.Reset()
-		steps := 2 + int(r.byte())%4
-		for step := 0; step < steps; step++ {
-			if err := p.Validate(); err != nil {
-				t.Fatalf("step %d: mutated problem invalid: %v", step, err)
-			}
-			var wantTr, gotTr CombinedTrace
-			wantTr.Density.TopK, wantTr.Value.TopK = 2, 2
-			gotTr.Density.TopK, gotTr.Value.TopK = 2, 2
-			want := cold.CombinedTraced(p, &wantTr)
-			got := ws.CombinedTraced(p, &gotTr)
-			equalSolutions(t, want, got, "fuzz warm combined")
-			equalPassTraces(t, wantTr.Density, gotTr.Density, "fuzz warm density trace")
-			equalPassTraces(t, wantTr.Value, gotTr.Value, "fuzz warm value trace")
-			equalAlternatives(t, wantTr.Density.Alternatives, gotTr.Density.Alternatives, "fuzz warm density alts")
-			equalAlternatives(t, wantTr.Value.Alternatives, gotTr.Value.Alternatives, "fuzz warm value alts")
-			if wantTr.Picked != gotTr.Picked {
-				t.Fatalf("warm picked %v != cold %v", gotTr.Picked, wantTr.Picked)
-			}
-			checkFeasible(t, p, got, "fuzz warm")
-			for m := int(r.byte()) % 5; m > 0; m-- {
-				it := &p.Items[int(r.byte())%len(p.Items)]
-				l := int(r.byte()) % it.Levels()
-				switch r.byte() % 4 {
-				case 0:
-					it.Values[l] = r.signed()
-				case 1:
-					it.Weights[l] = r.unsigned()
-				case 2:
-					it.Cap = r.unsigned()
-				case 3:
-					p.Budget = r.unsigned() * float64(len(p.Items))
-				}
-			}
-		}
-	})
-}
-
 func FuzzDynamicProgram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 2, 0, 64, 0, 32, 1, 3, 0, 200})

@@ -7,9 +7,14 @@ package knapsack
 // trace records bit-for-bit, and re-runs the reference engine to guard the
 // recording itself against drift.
 //
+// A second golden, testdata/golden_warm.json, records the reference
+// Combined solution of every slot of a 200-slot seeded churn workload; one
+// Solver reused across all slots must reproduce it, which pins scratch
+// reuse across growing and shrinking problems.
+//
 // Regenerate (only when the algorithm is intentionally changed) with:
 //
-//	go test ./internal/knapsack -run TestGoldenCorpus -update-golden
+//	go test ./internal/knapsack -run 'TestGoldenCorpus|TestGoldenChurn' -update-golden
 
 import (
 	"encoding/json"
@@ -23,7 +28,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"regenerate testdata/golden_greedy.json from the reference engine")
+	"regenerate the testdata golden files from the reference engine")
 
 const goldenPath = "testdata/golden_greedy.json"
 const goldenCases = 100
@@ -224,5 +229,134 @@ func TestGoldenCorpus(t *testing.T) {
 		var rdtr, rvtr PassTrace
 		equalGoldenPass(t, c.Name, "reference-density", c.Density, p.ReferenceDensityGreedyTraced(&rdtr), rdtr)
 		equalGoldenPass(t, c.Name, "reference-value", c.Value, p.ReferenceValueGreedyTraced(&rvtr), rvtr)
+	}
+}
+
+// ---- 200-slot churn golden workload ----
+
+const churnGoldenPath = "testdata/golden_warm.json"
+const churnGoldenSlots = 200
+
+type churnGoldenSlot struct {
+	Levels []int   `json:"levels"`
+	Value  float64 `json:"value"`
+	Weight float64 `json:"weight"`
+	Picked string  `json:"picked"`
+}
+
+type churnGoldenFile struct {
+	Comment string            `json:"comment"`
+	Slots   []churnGoldenSlot `json:"slots"`
+}
+
+// cloneProblem deep-copies p so a recorded sequence of mutated problems
+// stays independent.
+func cloneProblem(p *Problem) *Problem {
+	items := make([]Item, len(p.Items))
+	for i, it := range p.Items {
+		items[i] = Item{
+			Values:  append([]float64(nil), it.Values...),
+			Weights: append([]float64(nil), it.Weights...),
+			Cap:     it.Cap,
+		}
+	}
+	return &Problem{Items: items, Budget: p.Budget}
+}
+
+// churnProblems deterministically generates the churn workload: 40
+// sessions whose rate ladders drift a few entries per slot, budget drift
+// every 17 slots, a session joining every 31st slot and one retiring every
+// 43rd — the access pattern the slot loop feeds the solver.
+func churnProblems() []*Problem {
+	rng := rand.New(rand.NewSource(20260807))
+	p := randomConcaveProblem(rng, 40, 5)
+	out := make([]*Problem, 0, churnGoldenSlots)
+	for slot := 0; slot < churnGoldenSlots; slot++ {
+		for k := rng.Intn(4); k > 0; k-- {
+			it := &p.Items[rng.Intn(len(p.Items))]
+			it.Weights[rng.Intn(it.Levels())] = math.Round(rng.Float64()*10*16) / 16
+		}
+		if slot%17 == 16 {
+			p.Budget = math.Round((0.8+0.4*rng.Float64())*p.Budget*16) / 16
+		}
+		if slot%31 == 30 {
+			np := randomConcaveProblem(rng, 1, 5)
+			p.Items = append(p.Items, np.Items[0])
+		}
+		if slot%43 == 42 && len(p.Items) > 2 {
+			p.Items = p.Items[:len(p.Items)-1]
+		}
+		out = append(out, cloneProblem(p))
+	}
+	return out
+}
+
+func toChurnGoldenSlot(sol Solution, picked Branch) churnGoldenSlot {
+	return churnGoldenSlot{
+		Levels: append([]int(nil), sol.Levels...),
+		Value:  sol.Value,
+		Weight: sol.Weight,
+		Picked: picked.String(),
+	}
+}
+
+// TestGoldenChurn replays the churn workload slot by slot through one
+// reused Solver and through the reference engine; both must match the
+// recording bit for bit.
+func TestGoldenChurn(t *testing.T) {
+	problems := churnProblems()
+	if *updateGolden {
+		file := churnGoldenFile{
+			Comment: "Reference Combined solutions for the 200-slot seeded churn workload " +
+				"(churnProblems); regenerate with: go test ./internal/knapsack -run TestGoldenChurn -update-golden",
+		}
+		for _, p := range problems {
+			var tr CombinedTrace
+			file.Slots = append(file.Slots, toChurnGoldenSlot(p.ReferenceCombinedTraced(&tr), tr.Picked))
+		}
+		raw, err := json.MarshalIndent(&file, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(churnGoldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d slots to %s", len(file.Slots), churnGoldenPath)
+		return
+	}
+
+	raw, err := os.ReadFile(churnGoldenPath)
+	if err != nil {
+		t.Fatalf("read churn golden (regenerate with -update-golden): %v", err)
+	}
+	var file churnGoldenFile
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatalf("parse churn golden: %v", err)
+	}
+	if len(file.Slots) != churnGoldenSlots {
+		t.Fatalf("golden has %d slots, want %d", len(file.Slots), churnGoldenSlots)
+	}
+
+	var s Solver
+	for slot, p := range problems {
+		want := file.Slots[slot]
+		var str, rtr CombinedTrace
+		got := map[string]churnGoldenSlot{
+			"solver":    toChurnGoldenSlot(s.CombinedTraced(p, &str), str.Picked),
+			"reference": toChurnGoldenSlot(p.ReferenceCombinedTraced(&rtr), rtr.Picked),
+		}
+		for name, g := range got {
+			if fmt.Sprint(g.Levels) != fmt.Sprint(want.Levels) {
+				t.Fatalf("slot %d/%s: levels %v differ from golden %v", slot, name, g.Levels, want.Levels)
+			}
+			if math.Float64bits(g.Value) != math.Float64bits(want.Value) ||
+				math.Float64bits(g.Weight) != math.Float64bits(want.Weight) {
+				t.Fatalf("slot %d/%s: value/weight %v/%v differ from golden %v/%v",
+					slot, name, g.Value, g.Weight, want.Value, want.Weight)
+			}
+			if g.Picked != want.Picked {
+				t.Fatalf("slot %d/%s: picked %v, golden has %v", slot, name, g.Picked, want.Picked)
+			}
+		}
 	}
 }

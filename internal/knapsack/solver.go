@@ -76,16 +76,6 @@ func siftDown(h []heapEntry, i int) {
 	}
 }
 
-// heapify builds a valid max-heap in place (Floyd's O(n) algorithm). Because
-// entryBefore is a strict total order over distinct items, the pop sequence
-// of any valid heap over the same entry set is identical — so a heap built
-// here pops bit-identically to one grown by successive heapPush calls.
-func heapify(h []heapEntry) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
-
 // Solver runs the greedy passes of Algorithm 1 with reusable scratch
 // buffers: once its buffers have grown to the problem size, a solve
 // performs zero heap allocations (the steady-state regime of a per-slot
@@ -94,7 +84,7 @@ func heapify(h []heapEntry) {
 // The Levels slice of a returned Solution aliases solver-owned scratch and
 // is only valid until the next call on the same Solver; use
 // Solution.Clone to detach it. A Solver is not safe for concurrent use;
-// use one per goroutine (SolveBatch does exactly that).
+// use one per goroutine.
 //
 // The zero value is ready to use.
 type Solver struct {
@@ -127,19 +117,7 @@ func (s *Solver) run(p *Problem, kind greedyKind, buf *[]int, tr *PassTrace) Sol
 			h = heapPush(h, heapEntry{score: upgradeScore(it, 1, kind), item: int32(i)})
 		}
 	}
-	sol, rest := popLoop(p, kind, levels, value, weight, h, tr, nil)
-	s.heap = rest
-	return sol
-}
 
-// popLoop is the greedy pop loop of Algorithm 1 over an already-built heap
-// state, shared by Solver.run (entered from the all-base assignment) and by
-// the WarmSolver (entered mid-pass, after replaying the previous slot's
-// pick log). rec, when non-nil, records one pickEvent per nonnegative pop —
-// the pick log a later warm-started solve replays. It returns the finished
-// solution and the heap scratch for reuse.
-func popLoop(p *Problem, kind greedyKind, levels []int, value, weight float64,
-	h []heapEntry, tr *PassTrace, rec *[]pickEvent) (Solution, []heapEntry) {
 	capture := tr != nil && tr.TopK > 0
 	for len(h) > 0 {
 		var e heapEntry
@@ -208,22 +186,17 @@ func popLoop(p *Problem, kind greedyKind, levels []int, value, weight float64,
 			levels[i] = old
 			value -= dv
 			weight -= dw
-			if rec != nil {
-				*rec = append(*rec, newPickEvent(e.item, false))
-			}
 			continue
 		}
 		if tr != nil {
 			tr.Upgrades++
 		}
-		if rec != nil {
-			*rec = append(*rec, newPickEvent(e.item, true))
-		}
 		if old+1 < it.Levels() {
 			h = heapPush(h, heapEntry{score: upgradeScore(it, old+1, kind), item: e.item})
 		}
 	}
-	return Solution{Levels: levels, Value: value, Weight: weight}, h
+	s.heap = h
+	return Solution{Levels: levels, Value: value, Weight: weight}
 }
 
 // DensityGreedy runs the density-greedy pass on solver scratch.

@@ -150,31 +150,6 @@ func TestSolverScratchReuseAcrossSizes(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMatchesSequential checks the sharded batch API: order
-// preserved, every result identical to a sequential Combined, at several
-// worker counts including degenerate ones.
-func TestSolveBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	problems := make([]*Problem, 137)
-	want := make([]Solution, len(problems))
-	for i := range problems {
-		problems[i] = randomArbitraryProblem(rng, 1+rng.Intn(12), 1+rng.Intn(6))
-		want[i] = problems[i].ReferenceCombined()
-	}
-	for _, workers := range []int{-1, 0, 1, 2, 3, 16, 1000} {
-		got := SolveBatch(problems, workers)
-		if len(got) != len(problems) {
-			t.Fatalf("workers=%d: %d results for %d problems", workers, len(got), len(problems))
-		}
-		for i := range got {
-			equalSolutions(t, want[i], got[i], "batch")
-		}
-	}
-	if out := SolveBatch(nil, 4); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
-	}
-}
-
 // TestSingleLevelAndEmptyItems covers the degenerate edges of the heap
 // path: items with one level never enter the heap; a problem of only such
 // items returns the base solution untouched.

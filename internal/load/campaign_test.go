@@ -6,13 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 )
 
 // churnWorkload generates a Poisson workload capped at `sessions` sessions
 // with sub-second holds, so the active set churns every few slots — the
-// regime where build-phase sharding and warm-start fallback both have to
-// prove they change nothing.
+// regime where build-phase sharding has to prove it changes nothing.
 func churnWorkload(tb testing.TB, sessions, horizon int, seed int64) *Workload {
 	tb.Helper()
 	w, err := Generate(Config{
@@ -107,26 +105,6 @@ func TestSimShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSimWarmStartMatchesCold is the solver differential at the campaign
-// level: swapping the cold solver for the warm-start engine must not move
-// a single bit of the report, across churn, chaos, and horizon-long
-// sessions alike.
-func TestSimWarmStartMatchesCold(t *testing.T) {
-	w := churnWorkload(t, 1500, 600, 97)
-	chaosProfile := campaignChaos()
-	cold := mustSimulate(t, w, SimConfig{Chaos: chaosProfile})
-	warm := mustSimulate(t, w, SimConfig{NewAllocator: newWarmAllocator, AllocName: "proposed", Chaos: chaosProfile})
-	diffReports(t, "warm-vs-cold", cold, warm)
-	if cold.Algorithm != warm.Algorithm {
-		t.Fatalf("algorithm label changed: %q vs %q", cold.Algorithm, warm.Algorithm)
-	}
-}
-
-// newWarmAllocator selects the warm-start solver, which replays the previous
-// slot's pick log when the problem is sparsely perturbed and falls back to a
-// cold solve otherwise; decisions are bit-identical either way.
-func newWarmAllocator() core.Allocator { return core.NewWarmAllocator() }
-
 // TestCampaign100KSessionsBitIdentical is the acceptance campaign: one
 // hundred thousand sessions through the virtual-time engine, run twice
 // (serial build, then sharded), must be bit-for-bit identical.
@@ -138,8 +116,8 @@ func TestCampaign100KSessionsBitIdentical(t *testing.T) {
 	if len(w.Sessions) < 100_000 {
 		t.Fatalf("campaign underfilled: %d sessions", len(w.Sessions))
 	}
-	first := mustSimulate(t, w, SimConfig{Workers: 1, NewAllocator: newWarmAllocator, AllocName: "proposed"})
-	second := mustSimulate(t, w, SimConfig{Workers: 4, NewAllocator: newWarmAllocator, AllocName: "proposed"})
+	first := mustSimulate(t, w, SimConfig{Workers: 1})
+	second := mustSimulate(t, w, SimConfig{Workers: 4})
 	diffReports(t, "campaign-100k", first, second)
 	if first.Completed != first.Spawned {
 		t.Fatalf("campaign lost sessions: spawned %d completed %d", first.Spawned, first.Completed)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
@@ -110,7 +111,7 @@ func (c LiveConfig) withDefaults(sps float64) LiveConfig {
 		c.Params = core.DefaultSystemParams()
 	}
 	if c.NewAllocator == nil {
-		c.NewAllocator = func() core.Allocator { return core.NewSolverAllocator() }
+		c.NewAllocator = baseline.MustFactory("proposed")
 		if c.AllocName == "" {
 			c.AllocName = "proposed"
 		}

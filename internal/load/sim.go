@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/motion"
@@ -88,7 +89,7 @@ func (c SimConfig) withDefaults() SimConfig {
 		c.Params = core.DefaultSystemParams()
 	}
 	if c.NewAllocator == nil {
-		c.NewAllocator = func() core.Allocator { return core.NewSolverAllocator() }
+		c.NewAllocator = baseline.MustFactory("proposed")
 		if c.AllocName == "" {
 			c.AllocName = "proposed"
 		}

@@ -82,24 +82,26 @@ type TournamentResult struct {
 	Entries      []TournamentEntry `json:"entries"`
 }
 
-// DefaultCandidates is the standard roster: both Algorithm 1 engines (heap
-// solver and reference rescan — they must tie exactly, a built-in sanity
-// check), the single-branch ablations, the three baselines, and two tuned
-// alpha/beta variants of the proposed algorithm.
+// DefaultCandidates is the standard roster, built from the allocator
+// registry (baseline.AllocatorByName): Algorithm 1 through both of its
+// entry points (the scratch-keeping SolverAllocator and the stateless
+// pooled DVGreedy — they must tie exactly, a built-in sanity check), the
+// single-branch ablations, the three baselines, and two tuned alpha/beta
+// variants of the proposed algorithm.
 func DefaultCandidates(base core.Params) []Candidate {
 	alphaHi, betaHi := base, base
 	alphaHi.Alpha *= 2
 	betaHi.Beta *= 2
 	return []Candidate{
-		{Name: "dvgreedy", NewAllocator: func() core.Allocator { return core.NewSolverAllocator() }},
-		{Name: "dvgreedy-scan", NewAllocator: func() core.Allocator { return core.DVGreedy{} }},
-		{Name: "density-only", NewAllocator: func() core.Allocator { return core.DensityOnly{} }},
-		{Name: "value-only", NewAllocator: func() core.Allocator { return core.ValueOnly{} }},
-		{Name: "firefly", NewAllocator: func() core.Allocator { return baseline.NewFirefly() }},
-		{Name: "pavq", NewAllocator: func() core.Allocator { return baseline.NewPAVQ() }},
-		{Name: "uniform", NewAllocator: func() core.Allocator { return baseline.NewUniform() }},
-		{Name: "dvgreedy-alpha2x", NewAllocator: func() core.Allocator { return core.NewSolverAllocator() }, Params: &alphaHi},
-		{Name: "dvgreedy-beta2x", NewAllocator: func() core.Allocator { return core.NewSolverAllocator() }, Params: &betaHi},
+		{Name: "dvgreedy", NewAllocator: baseline.MustFactory("dvgreedy")},
+		{Name: "dvgreedy-scan", NewAllocator: baseline.MustFactory("dvgreedy-scan")},
+		{Name: "density-only", NewAllocator: baseline.MustFactory("density")},
+		{Name: "value-only", NewAllocator: baseline.MustFactory("value")},
+		{Name: "firefly", NewAllocator: baseline.MustFactory("firefly")},
+		{Name: "pavq", NewAllocator: baseline.MustFactory("pavq")},
+		{Name: "uniform", NewAllocator: baseline.MustFactory("uniform")},
+		{Name: "dvgreedy-alpha2x", NewAllocator: baseline.MustFactory("dvgreedy"), Params: &alphaHi},
+		{Name: "dvgreedy-beta2x", NewAllocator: baseline.MustFactory("dvgreedy"), Params: &betaHi},
 	}
 }
 

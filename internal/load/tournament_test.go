@@ -118,8 +118,9 @@ func TestSimulateRecordingDoesNotPerturb(t *testing.T) {
 }
 
 // TestTournamentDeterministic: the same workload and config produce a
-// byte-identical ranking table on every run, and the two Algorithm 1 engines
-// (heap solver vs reference rescan) tie on every measured axis.
+// byte-identical ranking table on every run, and the two Algorithm 1 entry
+// points (scratch-keeping SolverAllocator vs pooled DVGreedy) tie on every
+// measured axis.
 func TestTournamentDeterministic(t *testing.T) {
 	w := tinyWorkload(t)
 	cfg := TournamentConfig{Sim: SimConfig{BudgetMbps: 60, RegretResolution: 2}}
@@ -151,7 +152,7 @@ func TestTournamentDeterministic(t *testing.T) {
 	}
 	if heap.Fitness != scan.Fitness || heap.MeanQoE != scan.MeanQoE ||
 		heap.TotalRegret != scan.TotalRegret {
-		t.Errorf("heap solver and rescan engine diverged:\nheap %+v\nscan %+v", heap, scan)
+		t.Errorf("SolverAllocator and DVGreedy diverged:\nheap %+v\nscan %+v", heap, scan)
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 // poolShard is the index-chunk size pool participants claim per cursor
-// bump — the same sharding granularity knapsack.SolveBatch uses: big
-// enough to amortize the atomic, small enough that a few expensive
+// bump: big enough to amortize the atomic, small enough that a few expensive
 // sessions do not serialize the slot behind one worker.
 const poolShard = 8
 

@@ -103,19 +103,18 @@ type AlgorithmFactory struct {
 	New  func() core.Allocator
 }
 
-// StandardAlgorithms returns the paper's comparison set: Algorithm 1
-// ("proposed"), Firefly, and modified PAVQ. includeOptimal appends the
-// per-slot brute-force optimum.
+// StandardAlgorithms returns the paper's comparison set from the allocator
+// registry (baseline.AllocatorByName): Algorithm 1 ("proposed"), Firefly,
+// and modified PAVQ. includeOptimal appends the per-slot brute-force
+// optimum.
 func StandardAlgorithms(includeOptimal bool) []AlgorithmFactory {
-	algs := []AlgorithmFactory{
-		{Name: "proposed", New: func() core.Allocator { return core.NewSolverAllocator() }},
-		{Name: "firefly", New: func() core.Allocator { return baseline.NewFirefly() }},
-		{Name: "pavq", New: func() core.Allocator { return baseline.NewPAVQ() }},
-	}
+	names := []string{"proposed", "firefly", "pavq"}
 	if includeOptimal {
-		algs = append(algs, AlgorithmFactory{
-			Name: "optimal", New: func() core.Allocator { return core.Optimal{} },
-		})
+		names = append(names, "optimal")
+	}
+	algs := make([]AlgorithmFactory, len(names))
+	for i, name := range names {
+		algs[i] = AlgorithmFactory{Name: name, New: baseline.MustFactory(name)}
 	}
 	return algs
 }
