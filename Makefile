@@ -46,10 +46,13 @@ bench:
 		-history results/bench_history.jsonl
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration compile-and-run of the Solve benchmarks (CI keeps them
-# building and panicking-free without paying for a full measurement).
+# One-iteration compile-and-run of the Solve and per-session build-phase
+# benchmarks (CI keeps them building and panicking-free without paying for
+# a full measurement).
 bench-smoke:
 	$(GO) test -run '^$$' -bench Solve -benchtime 1x ./internal/knapsack ./internal/core
+	$(GO) test -run '^$$' -bench 'Predictor|RateTableInto|NormalizeAngle' -benchtime 1x \
+		./internal/motion ./internal/tiles ./internal/vrmath
 
 # Brief native fuzzing of the greedy differential and DP targets (~10 s
 # each) on top of the checked-in seed corpora under testdata/fuzz.

@@ -222,55 +222,3 @@ func solveGaussInto(a [][]float64, b, x []float64) error {
 	}
 	return nil
 }
-
-// SlidingWindow keeps the most recent capacity samples of a scalar series
-// and predicts the next value by linear extrapolation over the window. It is
-// the building block of the per-axis 6-DoF motion predictor.
-type SlidingWindow struct {
-	capacity int
-	samples  []float64
-}
-
-// NewSlidingWindow returns a window holding up to capacity samples
-// (minimum 2).
-func NewSlidingWindow(capacity int) *SlidingWindow {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return &SlidingWindow{capacity: capacity}
-}
-
-// Push appends a sample, evicting the oldest if the window is full.
-func (s *SlidingWindow) Push(x float64) {
-	if len(s.samples) == s.capacity {
-		copy(s.samples, s.samples[1:])
-		s.samples[len(s.samples)-1] = x
-		return
-	}
-	s.samples = append(s.samples, x)
-}
-
-// Len returns the number of stored samples.
-func (s *SlidingWindow) Len() int { return len(s.samples) }
-
-// PredictNext extrapolates the series one step ahead using a linear fit over
-// the window. With fewer than two samples it returns the last sample (or 0
-// when empty).
-func (s *SlidingWindow) PredictNext() float64 {
-	n := len(s.samples)
-	switch n {
-	case 0:
-		return 0
-	case 1:
-		return s.samples[0]
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	fit, err := FitLinear(xs, s.samples)
-	if err != nil {
-		return s.samples[n-1]
-	}
-	return fit.Predict(float64(n))
-}

@@ -120,49 +120,3 @@ func TestFitPolyApproximatesMM1Delay(t *testing.T) {
 		}
 	}
 }
-
-func TestSlidingWindowPredict(t *testing.T) {
-	w := NewSlidingWindow(5)
-	if got := w.PredictNext(); got != 0 {
-		t.Errorf("empty window predicts %v, want 0", got)
-	}
-	w.Push(7)
-	if got := w.PredictNext(); got != 7 {
-		t.Errorf("single-sample window predicts %v, want 7", got)
-	}
-	// Linear series: prediction continues the line.
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		w.Push(x)
-	}
-	if got := w.PredictNext(); math.Abs(got-6) > 1e-9 {
-		t.Errorf("PredictNext = %v, want 6", got)
-	}
-	// Window evicts: after pushing 6, window holds 2..6 and predicts 7.
-	w.Push(6)
-	if w.Len() != 5 {
-		t.Fatalf("window length = %d, want 5", w.Len())
-	}
-	if got := w.PredictNext(); math.Abs(got-7) > 1e-9 {
-		t.Errorf("PredictNext after eviction = %v, want 7", got)
-	}
-}
-
-func TestSlidingWindowConstantSeries(t *testing.T) {
-	w := NewSlidingWindow(4)
-	for i := 0; i < 10; i++ {
-		w.Push(3.5)
-	}
-	if got := w.PredictNext(); math.Abs(got-3.5) > 1e-9 {
-		t.Errorf("constant series predicts %v, want 3.5", got)
-	}
-}
-
-func TestSlidingWindowMinCapacity(t *testing.T) {
-	w := NewSlidingWindow(0)
-	w.Push(1)
-	w.Push(2)
-	w.Push(3)
-	if w.Len() != 2 {
-		t.Errorf("capacity should clamp to 2, len = %d", w.Len())
-	}
-}

@@ -117,9 +117,11 @@ func (c *slotCore) stallMs(slot int) float64 {
 func (s *simSession) build(c *slotCore, slot int, scale float64) (core.UserInput, slotPlan) {
 	local := slot - s.spec.ArriveSlot
 	actual := s.trace[local]
-	predicted := s.pred.Predict()
-	if local <= c.cfg.PredictorWindow {
-		predicted = actual
+	// Cold start: the actual pose stands in until the regression window
+	// has data, so the prediction is only computed after it.
+	predicted := actual
+	if local > c.cfg.PredictorWindow {
+		predicted = s.pred.Predict()
 	}
 	cell := tiles.CellFor(predicted.Pos)
 	s.selBuf = tiles.ForViewAppend(s.selBuf[:0], predicted, c.cfg.Coverage.FoV, c.cfg.Coverage.MarginDeg)

@@ -1,18 +1,30 @@
 package motion
 
 import (
-	"repro/internal/estimate"
+	"math"
+
 	"repro/internal/vrmath"
 )
+
+// axes is one observed pose as the regression sees it: x, y, z, unwrapped
+// yaw, pitch and roll.
+type axes [6]float64
 
 // Predictor forecasts the next slot's 6-DoF pose with an independent linear
 // regression per axis, "which follows the methodology in [Firefly]"
 // (Section V). Yaw is unwrapped into a cumulative angle before regression so
 // that crossing the +/-180 seam does not break the fit.
+//
+// The window is one ring of poses allocated at construction, so Observe and
+// Predict never allocate. Each Predict refits all six axes in one pass over
+// the window with exactly estimate.FitLinear's operations in its order
+// (x = 0..n-1, oldest to newest), so every axis is bit-identical to
+// FitLinear over the same samples. Running sums would make the refit O(1)
+// but drift in floating point and break that identity.
 type Predictor struct {
-	x, y, z     *estimate.SlidingWindow
-	yawUnwrap   *estimate.SlidingWindow
-	pitch, roll *estimate.SlidingWindow
+	ring []axes // ring[head] is the oldest of n samples
+	head int
+	n    int
 
 	lastYaw   float64
 	cumYaw    float64
@@ -28,14 +40,7 @@ func NewPredictor(window int) *Predictor {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &Predictor{
-		x:         estimate.NewSlidingWindow(window),
-		y:         estimate.NewSlidingWindow(window),
-		z:         estimate.NewSlidingWindow(window),
-		yawUnwrap: estimate.NewSlidingWindow(window),
-		pitch:     estimate.NewSlidingWindow(window),
-		roll:      estimate.NewSlidingWindow(window),
-	}
+	return &Predictor{ring: make([]axes, max(window, 2))}
 }
 
 // Observe feeds the pose of the current slot.
@@ -49,27 +54,70 @@ func (p *Predictor) Observe(pose vrmath.Pose) {
 	}
 	p.lastYaw = pose.Yaw
 
-	p.x.Push(pose.Pos.X)
-	p.y.Push(pose.Pos.Y)
-	p.z.Push(pose.Pos.Z)
-	p.yawUnwrap.Push(p.cumYaw)
-	p.pitch.Push(pose.Pitch)
-	p.roll.Push(pose.Roll)
+	v := axes{pose.Pos.X, pose.Pos.Y, pose.Pos.Z, p.cumYaw, pose.Pitch, pose.Roll}
+	if p.n < len(p.ring) {
+		// Filling: head stays 0 until the ring is full.
+		p.ring[p.n] = v
+		p.n++
+		return
+	}
+	p.ring[p.head] = v
+	if p.head++; p.head == len(p.ring) {
+		p.head = 0
+	}
 }
 
 // Predict extrapolates the next slot's pose. Before any observation it
 // returns the zero pose.
 func (p *Predictor) Predict() vrmath.Pose {
+	a := p.predictNext()
 	return vrmath.Pose{
-		Pos: vrmath.Vec3{
-			X: p.x.PredictNext(),
-			Y: p.y.PredictNext(),
-			Z: p.z.PredictNext(),
-		},
-		Yaw:   vrmath.NormalizeAngle(p.yawUnwrap.PredictNext()),
-		Pitch: vrmath.ClampPitch(p.pitch.PredictNext()),
-		Roll:  vrmath.NormalizeAngle(p.roll.PredictNext()),
+		Pos:   vrmath.Vec3{X: a[0], Y: a[1], Z: a[2]},
+		Yaw:   vrmath.NormalizeAngle(a[3]),
+		Pitch: vrmath.ClampPitch(a[4]),
+		Roll:  vrmath.NormalizeAngle(a[5]),
 	}
+}
+
+// predictNext extrapolates every axis one step ahead with a least-squares
+// line over the window. With fewer than two samples it returns the last
+// sample (zeros when empty); a singular fit also falls back to the last
+// sample.
+func (p *Predictor) predictNext() axes {
+	switch p.n {
+	case 0:
+		return axes{}
+	case 1:
+		return p.ring[0]
+	}
+	var sx, sxx float64
+	var sy, sxy axes
+	i := p.head
+	for k := 0; k < p.n; k++ {
+		x := float64(k)
+		y := &p.ring[i]
+		sx += x
+		sxx += x * x
+		for a := range sy {
+			sy[a] += y[a]
+			sxy[a] += x * y[a]
+		}
+		if i++; i == len(p.ring) {
+			i = 0
+		}
+	}
+	n := float64(p.n)
+	det := n*sxx - sx*sx
+	if math.Abs(det) < 1e-12 {
+		return p.ring[(p.head+p.n-1)%len(p.ring)] // the newest sample
+	}
+	var out axes
+	for a := range out {
+		slope := (n*sxy[a] - sx*sy[a]) / det
+		intercept := (sy[a] - slope*sx) / n
+		out[a] = intercept + slope*n
+	}
+	return out
 }
 
 // CoverageConfig parametrizes the FoV-coverage check behind 1_n(t).

@@ -240,6 +240,15 @@ func TestRunSlotSteadyStateAllocs(t *testing.T) {
 	for u := 1; u <= 8; u++ {
 		pose := vrmath.Pose{Pos: vrmath.Vec3{X: float64(u), Z: 2}, Yaw: float64(u * 20)}
 		sess := bareSession(srv, uint32(u), pose, 1)
+		// A full regression window, so buildOne's Predict runs the
+		// per-axis fit rather than the single-sample fallback.
+		for k := 1; k <= cfg.PredictorWindow; k++ {
+			step := float64(k)
+			sess.predictor.Observe(vrmath.Pose{
+				Pos: vrmath.Vec3{X: pose.Pos.X + 0.01*step, Z: pose.Pos.Z},
+				Yaw: pose.Yaw + 2*step,
+			})
+		}
 		if u%3 == 0 {
 			// Enough history to engage the regression branch of the delay
 			// table, which must also be allocation-free.

@@ -246,11 +246,11 @@ func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) (
 		pred := motion.NewPredictor(cfg.PredictorWindow)
 		inputs[u] = make([]slotInput, slots)
 		for s := 0; s < slots; s++ {
-			predicted := pred.Predict()
-			if s <= cfg.PredictorWindow {
-				// Cold start: assume perfect knowledge until the regression
-				// window has data (the real system warms up the same way).
-				predicted = mt[s]
+			// Cold start: assume perfect knowledge until the regression
+			// window has data (the real system warms up the same way).
+			predicted := mt[s]
+			if s > cfg.PredictorWindow {
+				predicted = pred.Predict()
 			}
 			cell := tiles.CellFor(predicted.Pos)
 			sel := tiles.ForView(predicted, cfg.Coverage.FoV, cfg.Coverage.MarginDeg)

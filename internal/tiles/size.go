@@ -67,17 +67,22 @@ func (m *SizeModel) SelectionRate(cell CellID, sel []TileID, level int) float64 
 // SelectionRate at level q. The table is convex and increasing in q.
 func (m *SizeModel) RateTable(cell CellID, sel []TileID) []float64 {
 	table := make([]float64, Levels)
-	for q := 1; q <= Levels; q++ {
-		table[q-1] = m.SelectionRate(cell, sel, q)
-	}
+	m.RateTableInto(table, cell, sel)
 	return table
 }
 
 // RateTableInto is RateTable writing into caller-provided table
-// (len(table) must be Levels); identical values, no allocation.
+// (len(table) must be Levels), with no allocation. It hashes each tile's
+// complexity once for all levels; every level still sums the same products
+// in sel order, so each entry equals SelectionRate bit for bit.
 func (m *SizeModel) RateTableInto(table []float64, cell CellID, sel []TileID) {
-	for q := 1; q <= Levels; q++ {
-		table[q-1] = m.SelectionRate(cell, sel, q)
+	table = table[:Levels]
+	clear(table)
+	for _, t := range sel {
+		c := m.complexity(cell, t)
+		for q := range table {
+			table[q] += baseTileRates[q] * c
+		}
 	}
 }
 

@@ -13,7 +13,13 @@ type Pose struct {
 
 // NormalizeAngle wraps an angle in degrees into [-180, 180).
 func NormalizeAngle(a float64) float64 {
-	a = math.Mod(a+180, 360)
+	// math.Mod(t, 360) is t itself on [0, 360), so in-range angles skip it
+	// exactly; anything else (including NaN and +/-Inf) takes the Mod path.
+	t := a + 180
+	if 0 <= t && t < 360 {
+		return t - 180
+	}
+	a = math.Mod(t, 360)
 	if a < 0 {
 		a += 360
 	}
