@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline perfbench-test flake-sweep clean
+.PHONY: all build vet test race lint rng-guard bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline perfbench-test flake-sweep clean
 
 all: build vet test
 
@@ -13,12 +13,23 @@ vet:
 	$(GO) vet ./...
 
 # staticcheck when available (CI installs it; locally the target degrades to
-# a notice rather than failing on a missing tool).
-lint: vet
+# a notice rather than failing on a missing tool), plus the source guard.
+lint: vet rng-guard
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
+	fi
+
+# internal/rng is the one seeded source: it draws math/rand's stream with
+# chain-free seeding. Non-test code that seeds math/rand directly pays the
+# serial 1,841-step seeding again, so the guard rejects it.
+rng-guard:
+	@bad=$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/rng/*' \
+		! -path './.bench_build/*' -exec grep -ln 'rand\.NewSource(' {} +); \
+	if [ -n "$$bad" ]; then \
+		echo "rng-guard: math/rand.NewSource outside internal/rng (use rng.New):"; \
+		echo "$$bad"; exit 1; \
 	fi
 
 test:
@@ -46,20 +57,24 @@ bench:
 		-history results/bench_history.jsonl
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration compile-and-run of the Solve and per-session build-phase
-# benchmarks (CI keeps them building and panicking-free without paying for
-# a full measurement).
+# One-iteration compile-and-run of the Solve, per-session build-phase and
+# session set-up (seeding, motion and capacity trace) benchmarks (CI keeps
+# them building and panicking-free without paying for a full measurement).
 bench-smoke:
 	$(GO) test -run '^$$' -bench Solve -benchtime 1x ./internal/knapsack ./internal/core
 	$(GO) test -run '^$$' -bench 'Predictor|RateTableInto|NormalizeAngle' -benchtime 1x \
 		./internal/motion ./internal/tiles ./internal/vrmath
+	$(GO) test -run '^$$' -bench 'NewSource|BenchmarkGenerate$$|CapSlots' -benchtime 1x \
+		./internal/rng ./internal/motion ./internal/load
 
-# Brief native fuzzing of the greedy differential and DP targets (~10 s
-# each) on top of the checked-in seed corpora under testdata/fuzz.
+# Brief native fuzzing of the greedy differential, DP, coordinator-log and
+# seeded-source targets (~10 s each) on top of the checked-in seed corpora
+# under testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzDynamicProgram$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordLog$$' -fuzztime 10s ./internal/fleet/coord
+	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/rng
 
 # Slot-loop smoke (< 60 s): the 10k-session virtual-time differential —
 # serial and sharded-build campaigns must produce bit-identical reports —

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/knapsack"
+	"repro/internal/rng"
 )
 
 type allocBenchRow struct {
@@ -91,7 +92,7 @@ func runAllocatorBench(seed int64, outPath string) error {
 	}
 
 	for _, n := range sizes {
-		p := allocBenchProblem(rand.New(rand.NewSource(seed+int64(n))), params, n)
+		p := allocBenchProblem(rng.New(seed+int64(n)), params, n)
 
 		var s knapsack.Solver
 		s.Combined(p) // warm the scratch: steady state is what the server sees

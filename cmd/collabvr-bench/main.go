@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/nettrace"
 	"repro/internal/obs"
 	"repro/internal/render"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/tiles"
@@ -398,14 +398,14 @@ func fig1b(seed int64, full bool) {
 		samples = 100000 // the paper's sample count
 	}
 	q := netem.NewQueueSim(15)
-	rng := rand.New(rand.NewSource(seed))
+	rnd := rng.New(seed)
 	rates := []float64{3, 6, 9, 12, 14}
 	fmt.Printf("# Fig 1b: RTT under a 15 Mbps cap (%d samples per rate)\n", samples)
 	names := make([]string, len(rates))
 	cdfs := make([]*metrics.CDF, len(rates))
 	for i, r := range rates {
 		names[i] = fmt.Sprintf("%gMbps", r)
-		cdfs[i] = metrics.NewCDF(q.RTTSamples(r, samples, rng))
+		cdfs[i] = metrics.NewCDF(q.RTTSamples(r, samples, rnd))
 	}
 	fmt.Print(metrics.FormatSeries("RTT CDF (ms) by sending rate", 11, names, cdfs))
 	fmt.Printf("mean RTT:")

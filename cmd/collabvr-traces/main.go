@@ -12,12 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 
 	"repro/internal/motion"
 	"repro/internal/nettrace"
+	"repro/internal/rng"
 )
 
 func main() {
@@ -55,10 +55,10 @@ func run(args []string) error {
 	}
 	fmt.Printf("wrote %d motion traces (%d slots each) to %s\n", *users, slots, *out)
 
-	rng := rand.New(rand.NewSource(*seed))
+	rnd := rng.New(*seed)
 	cfg := nettrace.DefaultConfig()
 	cfg.Seconds = *seconds
-	traces := nettrace.GenerateMix(*netCount, cfg, rng)
+	traces := nettrace.GenerateMix(*netCount, cfg, rnd)
 	for i, tr := range traces {
 		kind := "broadband"
 		if i%2 == 1 {

@@ -11,10 +11,10 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/netem"
+	"repro/internal/rng"
 )
 
 func main() {
@@ -77,17 +77,17 @@ func report(params core.Params, name string, p *core.SlotProblem) {
 func randomizedStudy() {
 	fmt.Println("## Randomized study: mean fraction of the per-slot optimum")
 	params := core.DefaultSimParams()
-	rng := rand.New(rand.NewSource(7))
+	rnd := rng.New(7)
 	ladder := []float64{8, 13, 21, 34, 55, 89}
 
 	var dSum, vSum, dvSum float64
 	const trials = 300
 	for trial := 0; trial < trials; trial++ {
-		n := 3 + rng.Intn(3)
+		n := 3 + rnd.Intn(3)
 		users := make([]core.UserInput, n)
 		for i := range users {
-			scale := 0.6 + rng.Float64()
-			cap_ := 20 + rng.Float64()*80
+			scale := 0.6 + rnd.Float64()
+			cap_ := 20 + rnd.Float64()*80
 			rates := make([]float64, len(ladder))
 			for q, r := range ladder {
 				rates[q] = r * scale
@@ -95,14 +95,14 @@ func randomizedStudy() {
 			users[i] = core.UserInput{
 				Rate:  rates,
 				Delay: netem.DelayTableMs(rates, cap_, 1000.0/60),
-				Delta: 0.8 + rng.Float64()*0.2,
-				MeanQ: rng.Float64() * 6,
+				Delta: 0.8 + rnd.Float64()*0.2,
+				MeanQ: rnd.Float64() * 6,
 				Cap:   cap_,
 			}
 		}
 		p := &core.SlotProblem{
-			T:      1 + rng.Intn(1000),
-			Budget: 36 * float64(n) * (0.5 + rng.Float64()),
+			T:      1 + rnd.Intn(1000),
+			Budget: 36 * float64(n) * (0.5 + rnd.Float64()),
 			Users:  users,
 		}
 		opt := core.Optimal{}.Allocate(params, p)

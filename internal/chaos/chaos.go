@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/rng"
 	"repro/internal/transport"
 )
 
@@ -24,8 +25,8 @@ func mixSeed(seed int64, session uint32, idx int) int64 {
 // faultRT is the per-session runtime state of one scheduled fault.
 type faultRT struct {
 	f   *Fault
-	rng *rand.Rand
-	bad bool // Gilbert-Elliott chain state (burst-loss only)
+	rng *rand.Rand // nil for the kinds that never draw (blackout, bandwidth-cliff)
+	bad bool       // Gilbert-Elliott chain state (burst-loss only)
 }
 
 // Injector evaluates a profile's delivery-path faults for one session. It is
@@ -57,10 +58,14 @@ func NewInjector(p *Profile, session uint32) *Injector {
 		if !f.appliesTo(session) {
 			continue
 		}
-		inj.faults = append(inj.faults, &faultRT{
-			f:   f,
-			rng: rand.New(rand.NewSource(mixSeed(p.Seed, session, i))),
-		})
+		rt := &faultRT{f: f}
+		switch f.Kind {
+		case FaultBlackout, FaultBandwidth:
+			// Windows only: these never draw, so they seed no source.
+		default:
+			rt.rng = rng.New(mixSeed(p.Seed, session, i))
+		}
+		inj.faults = append(inj.faults, rt)
 	}
 	if len(inj.faults) == 0 {
 		return nil

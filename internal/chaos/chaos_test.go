@@ -150,7 +150,7 @@ func TestWindowBoundariesAndCapFactors(t *testing.T) {
 		}
 	}
 	check(99, false, 1, 1)
-	check(100, true, 1, 0)  // blackout first slot; live cap untouched
+	check(100, true, 1, 0) // blackout first slot; live cap untouched
 	check(119, true, 0.25, 0)
 	check(120, false, 0.25, 0.25) // blackout over, cliff still active
 	check(135, false, 0.25*0.5, 0.25*0.5)
@@ -165,6 +165,34 @@ func TestWindowBoundariesAndCapFactors(t *testing.T) {
 		if !in.PacketFault().Drop {
 			t.Fatal("PacketFault did not drop during blackout")
 		}
+	}
+}
+
+// TestWindowFaultsSeedNoSource pins that blackouts and bandwidth cliffs,
+// which only open and close windows, carry no RNG, while the drawing kinds
+// still get their own, and that every evaluation path runs with the nil
+// sources in place.
+func TestWindowFaultsSeedNoSource(t *testing.T) {
+	p := mustParse(t, `{
+		"seed": 9,
+		"faults": [
+			{"kind": "blackout", "start_slot": 0, "duration_slots": 5},
+			{"kind": "bandwidth-cliff", "start_slot": 0, "factor": 0.5},
+			{"kind": "loss", "start_slot": 0, "p": 0.5},
+			{"kind": "corrupt", "start_slot": 0, "p": 0.5}
+		]}`)
+	in := NewInjector(p, 2)
+	for i, rt := range in.faults {
+		draws := rt.f.Kind != FaultBlackout && rt.f.Kind != FaultBandwidth
+		if (rt.rng != nil) != draws {
+			t.Errorf("fault %d (%s): has source %v, want %v", i, rt.f.Kind, rt.rng != nil, draws)
+		}
+	}
+	for slot := 0; slot < 10; slot++ {
+		in.Advance(slot)
+		in.Drop()
+		in.PacketFault()
+		in.SimCapFactor()
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/motion"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/tiles"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -200,7 +201,7 @@ func Run(cfg Config) (*Result, error) {
 		ram:    tiles.NewClientRAM(cfg.RAMThreshold),
 		acc:    metrics.NewUserQoE(cfg.Params),
 		byslot: make(map[uint32][]tiles.VideoID),
-		rng:    rand.New(rand.NewSource(int64(cfg.User)*40503 + 7)),
+		rng:    rng.New(int64(cfg.User)*40503 + 7),
 	}
 	defer c.closeCtrl()
 	c.reasm.Instrument(c.obs.duplicates, c.obs.incomplete)

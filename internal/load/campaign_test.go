@@ -105,6 +105,46 @@ func TestSimShardedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSimBurstArrivalsMatchSerial is the arrival-construction differential:
+// a thousand sessions arrive in slot 0, far above parallelFor's shard, so
+// Simulate builds them on several goroutines. Under a chaos profile whose
+// faults draw from per-session sources, the report must be bit-identical
+// to the serial build at any worker count. (TestSimShardedMatchesSerial's
+// Poisson arrivals come a couple per slot and never take that path.)
+func TestSimBurstArrivalsMatchSerial(t *testing.T) {
+	w, err := Generate(Config{Shape: Steady, Seed: 17, HorizonSlots: 40, Sessions: 1000, RampSlots: 1})
+	if err != nil {
+		t.Fatalf("generate workload: %v", err)
+	}
+	for _, s := range w.Sessions {
+		if s.ArriveSlot != 0 {
+			t.Fatalf("session %d arrives in slot %d, want every arrival in slot 0", s.ID, s.ArriveSlot)
+		}
+	}
+	profile := &chaos.Profile{
+		Name: "burst-draws",
+		Seed: 11,
+		Faults: []chaos.Fault{
+			{Kind: chaos.FaultLoss, StartSlot: 5, DurationSlots: 20, P: 0.2},
+			{Kind: chaos.FaultBurstLoss, StartSlot: 10, PGoodBad: 0.1, PBadGood: 0.3},
+		},
+	}
+	serial := mustSimulate(t, w, SimConfig{Workers: 1, BudgetMbps: 36 * 1000, Chaos: profile})
+	missed := 0
+	for _, o := range serial.Outcomes {
+		if o.MissFrac > 0 {
+			missed++
+		}
+	}
+	if missed < len(serial.Outcomes)/2 {
+		t.Fatalf("only %d of %d sessions missed a frame: the loss faults are not drawing", missed, len(serial.Outcomes))
+	}
+	for _, workers := range []int{4, 13} {
+		sharded := mustSimulate(t, w, SimConfig{Workers: workers, BudgetMbps: 36 * 1000, Chaos: profile})
+		diffReports(t, "burst-arrivals", serial, sharded)
+	}
+}
+
 // TestCampaign100KSessionsBitIdentical is the acceptance campaign: one
 // hundred thousand sessions through the virtual-time engine, run twice
 // (serial build, then sharded), must be bit-for-bit identical.

@@ -3,6 +3,7 @@ package load
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/baseline"
 	"repro/internal/chaos"
@@ -73,7 +74,8 @@ type SimConfig struct {
 	// RegretResolution is the DP budget grid step (<= 0: budget/2048).
 	RegretResolution float64
 	// Workers shards the per-slot build phase (prediction, tile selection,
-	// rate/delay tables, per-session chaos advance) across this many
+	// rate/delay tables, per-session chaos advance) and Simulate's arrival
+	// construction (motion and capacity traces, injector) across this many
 	// goroutines. The merged solve and the outcome accounting stay serial,
 	// so the report is bit-identical at any setting. 0 means GOMAXPROCS;
 	// 1 keeps the engine fully serial.
@@ -130,7 +132,9 @@ func (c SimConfig) withDefaults() SimConfig {
 // its own sessions' indices and touches only per-session state (predictor,
 // chaos injector, scratch tables), and the merged solve plus the outcome
 // accounting stay serial — so worker count never changes a single bit of
-// the report.
+// the report. Each slot's arrivals are constructed across the same workers
+// (a burst of slot-0 arrivals is most of a run's set-up time), each into
+// its own arrival-order index.
 func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	cfg = cfg.withDefaults()
 	if len(w.Sessions) == 0 {
@@ -155,11 +159,17 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	var active []*simSession
 
 	for slot := 0; slot < horizon; slot++ {
-		// Arrivals.
-		for _, spec := range byArrive[slot] {
-			s := c.newSession(spec)
-			active = append(active, &s)
-		}
+		// Arrivals, built across the workers: newSession reads only its
+		// spec and the shared immutable configuration, and each session
+		// lands at its own index in arrival order.
+		specs := byArrive[slot]
+		base := len(active)
+		active = slices.Grow(active, len(specs))[:base+len(specs)]
+		arrived := active[base:]
+		parallelFor(len(specs), cfg.Workers, func(i int) {
+			s := c.newSession(specs[i])
+			arrived[i] = &s
+		})
 		// Departures.
 		next := active[:0]
 		for _, s := range active {

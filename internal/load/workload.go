@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/motion"
 	"repro/internal/nettrace"
+	"repro/internal/rng"
 )
 
 // Shape selects the session-arrival process.
@@ -180,7 +181,7 @@ func Generate(cfg Config) (*Workload, error) {
 	if cfg.Shape == Steady && cfg.Sessions <= 0 {
 		return nil, fmt.Errorf("load: steady workload needs Sessions > 0")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rnd := rng.New(cfg.Seed)
 	w := &Workload{Cfg: cfg}
 
 	if cfg.Shape == Steady {
@@ -189,7 +190,7 @@ func Generate(cfg Config) (*Workload, error) {
 			if cfg.RampSlots > 1 {
 				arrive = i % cfg.RampSlots
 			}
-			w.addSession(rng, arrive)
+			w.addSession(rnd, arrive)
 		}
 		// Steady sessions arrive round-robin across the ramp; restore
 		// arrival order.
@@ -210,7 +211,7 @@ func Generate(cfg Config) (*Workload, error) {
 		case Poisson:
 			// Constant rate.
 		case MMPP:
-			if rng.Float64() < switchProb {
+			if rnd.Float64() < switchProb {
 				mmppHigh = !mmppHigh
 			}
 			if mmppHigh {
@@ -226,11 +227,11 @@ func Generate(cfg Config) (*Workload, error) {
 		default:
 			return nil, fmt.Errorf("load: unknown arrival shape %q", cfg.Shape)
 		}
-		for n := poissonSample(rng, lambda*dt); n > 0; n-- {
+		for n := poissonSample(rnd, lambda*dt); n > 0; n-- {
 			if cfg.Sessions > 0 && len(w.Sessions) >= cfg.Sessions {
 				return w, nil
 			}
-			w.addSession(rng, slot)
+			w.addSession(rnd, slot)
 		}
 	}
 	return w, nil
@@ -341,7 +342,7 @@ func (w *Workload) MotionTrace(spec SessionSpec, extraSlots int) motion.Trace {
 // CapSlots regenerates the session's per-slot link capacity in Mbps from its
 // assigned network trace. Deterministic in the spec.
 func (w *Workload) CapSlots(spec SessionSpec) []float64 {
-	rng := rand.New(rand.NewSource(spec.NetSeed))
-	tr := nettrace.Generate(spec.NetKind, w.Cfg.Net, rng)
+	rnd := rng.New(spec.NetSeed)
+	tr := nettrace.Generate(spec.NetKind, w.Cfg.Net, rnd)
 	return tr.Slotted(spec.Slots(), w.Cfg.SlotsPerSecond)
 }

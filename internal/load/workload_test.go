@@ -192,3 +192,20 @@ func TestPeakConcurrent(t *testing.T) {
 		t.Errorf("peak concurrent = %d, want 3", got)
 	}
 }
+
+// capsSink keeps the compiler from discarding measured CapSlots calls.
+var capsSink []float64
+
+// BenchmarkCapSlots is one session's capacity-trace set-up: one seeded
+// source, a network trace and its 300-slot resampling.
+func BenchmarkCapSlots(b *testing.B) {
+	w, err := Generate(Config{Shape: Steady, Seed: 3, HorizonSlots: 300, Sessions: 64, RampSlots: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		capsSink = w.CapSlots(w.Sessions[i%len(w.Sessions)])
+	}
+}

@@ -205,3 +205,16 @@ func TestCoveredOrientationMargin(t *testing.T) {
 		t.Errorf("40 degree yaw error should not be covered")
 	}
 }
+
+// traceSink keeps the compiler from discarding measured Generate calls.
+var traceSink Trace
+
+// BenchmarkGenerate is one session's motion-trace set-up at the benchmark
+// workloads' horizon: one seeded source plus a 300-slot walk.
+func BenchmarkGenerate(b *testing.B) {
+	scene := Scenes()[1]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		traceSink = Generate(scene, i, 300, 60, int64(i))
+	}
+}

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"strconv"
 
+	"repro/internal/rng"
 	"repro/internal/vrmath"
 )
 
@@ -56,19 +56,19 @@ func Generate(scene Scene, user int, slots int, slotsPerSecond float64, seed int
 		slotsPerSecond = 60
 	}
 	dt := 1 / slotsPerSecond
-	rng := rand.New(rand.NewSource(seed ^ int64(user)*0x9E3779B9 ^ int64(len(scene.Name))))
+	rnd := rng.New(seed ^ int64(user)*0x9E3779B9 ^ int64(len(scene.Name)))
 
 	trace := make(Trace, slots)
 	pos := vrmath.Vec3{
-		X: rng.Float64() * scene.Width,
-		Z: rng.Float64() * scene.Depth,
+		X: rnd.Float64() * scene.Width,
+		Z: rnd.Float64() * scene.Depth,
 	}
 	target := vrmath.Vec3{
-		X: rng.Float64() * scene.Width,
-		Z: rng.Float64() * scene.Depth,
+		X: rnd.Float64() * scene.Width,
+		Z: rnd.Float64() * scene.Depth,
 	}
-	speed := scene.WalkSpeed * (0.7 + 0.6*rng.Float64())
-	yaw := rng.Float64()*360 - 180
+	speed := scene.WalkSpeed * (0.7 + 0.6*rnd.Float64())
+	yaw := rnd.Float64()*360 - 180
 	pitch := 0.0
 	roll := 0.0
 
@@ -78,10 +78,10 @@ func Generate(scene Scene, user int, slots int, slotsPerSecond float64, seed int
 		dist := to.Norm()
 		if dist < 0.1 {
 			target = vrmath.Vec3{
-				X: rng.Float64() * scene.Width,
-				Z: rng.Float64() * scene.Depth,
+				X: rnd.Float64() * scene.Width,
+				Z: rnd.Float64() * scene.Depth,
 			}
-			speed = scene.WalkSpeed * (0.7 + 0.6*rng.Float64())
+			speed = scene.WalkSpeed * (0.7 + 0.6*rnd.Float64())
 			to = target.Sub(pos)
 			dist = to.Norm()
 		}
@@ -99,11 +99,11 @@ func Generate(scene Scene, user int, slots int, slotsPerSecond float64, seed int
 		yawErr := vrmath.AngleDiff(walkYaw, yaw)
 		maxTurn := scene.TurnRate * dt
 		turn := clamp(yawErr*0.05, -maxTurn, maxTurn)
-		yaw = vrmath.NormalizeAngle(yaw + turn + rng.NormFloat64()*scene.Jitter*dt*10)
+		yaw = vrmath.NormalizeAngle(yaw + turn + rnd.NormFloat64()*scene.Jitter*dt*10)
 
 		// Pitch and roll: mean-reverting with noise.
-		pitch = clamp(pitch*0.995+rng.NormFloat64()*scene.Jitter*dt*8, -60, 60)
-		roll = clamp(roll*0.99+rng.NormFloat64()*scene.Jitter*dt*4, -30, 30)
+		pitch = clamp(pitch*0.995+rnd.NormFloat64()*scene.Jitter*dt*8, -60, 60)
+		roll = clamp(roll*0.99+rnd.NormFloat64()*scene.Jitter*dt*4, -30, 30)
 
 		trace[i] = vrmath.Pose{Pos: pos, Yaw: yaw, Pitch: pitch, Roll: roll}
 	}

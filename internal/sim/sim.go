@@ -21,6 +21,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/nettrace"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/tiles"
 	"repro/internal/trace"
 )
@@ -219,18 +220,18 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 // every algorithm over the identical inputs.
 func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) ([]*Result, error) {
 	seed := cfg.Seed + int64(run)*7919
-	rng := rand.New(rand.NewSource(seed))
+	rnd := rng.New(seed)
 
 	// Network traces: the paper's half-broadband/half-LTE mix, or an
 	// explicit per-user profile, fresh per run.
 	caps := make([][]float64, cfg.Users)
 	if len(cfg.NetKinds) > 0 {
 		for u := range caps {
-			tr := nettrace.Generate(cfg.NetKinds[u%len(cfg.NetKinds)], cfg.NetConfig, rng)
+			tr := nettrace.Generate(cfg.NetKinds[u%len(cfg.NetKinds)], cfg.NetConfig, rnd)
 			caps[u] = tr.Slotted(slots, cfg.SlotsPerSecond)
 		}
 	} else {
-		netTraces := nettrace.GenerateMix(cfg.Users, cfg.NetConfig, rng)
+		netTraces := nettrace.GenerateMix(cfg.Users, cfg.NetConfig, rnd)
 		for u := range caps {
 			caps[u] = netTraces[u].Slotted(slots, cfg.SlotsPerSecond)
 		}
@@ -348,7 +349,7 @@ func replayAlgorithm(cfg Config, slots int, budget float64, inputs [][]slotInput
 		for u := range estimators {
 			estimators[u] = estimate.NewEMA(cfg.EstimateAlpha)
 		}
-		estRng = rand.New(rand.NewSource(seed ^ 0x5EED))
+		estRng = rng.New(seed ^ 0x5EED)
 	}
 
 	slotMs := 1000 / cfg.SlotsPerSecond

@@ -9,7 +9,6 @@ package testbed
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -19,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/motion"
 	"repro/internal/netem"
+	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/transport"
 )
@@ -117,7 +117,7 @@ func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
 		return nil, fmt.Errorf("testbed: setup needs users and routers")
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rnd := rng.New(cfg.Seed)
 	now := time.Now()
 
 	// Router buckets: the shared capacity of each router.
@@ -131,10 +131,12 @@ func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
 		routers[i] = netem.NewTokenBucket(perRouter, 16<<10, now)
 	}
 
-	// Per-user throttles: shuffled assignment from the guideline list.
+	// Per-user throttles: the guideline list in a seeded shuffle, assigned
+	// round-robin, so every rate is in use once there are enough users.
+	order := rnd.Perm(len(setup.Throttles))
 	userRate := make([]float64, setup.Users)
 	for i := range userRate {
-		userRate[i] = setup.Throttles[rng.Intn(len(setup.Throttles))]
+		userRate[i] = setup.Throttles[order[i%len(order)]]
 	}
 	userBuckets := make([]*netem.TokenBucket, setup.Users)
 	for i := range userBuckets {
@@ -151,7 +153,7 @@ func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
 	jitterWG.Add(1)
 	go func() {
 		defer jitterWG.Done()
-		jrng := rand.New(rand.NewSource(cfg.Seed + 1))
+		jrng := rng.New(cfg.Seed + 1)
 		fadeLeft := make([]int, setup.Users) // remaining fade intervals
 		fadeDepth := make([]float64, setup.Users)
 		ticker := time.NewTicker(10 * cfg.SlotDuration)
