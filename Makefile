@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint rng-guard bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline perfbench-test flake-sweep clean
+.PHONY: all build vet test race lint fmt-check rng-guard bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline perfbench-test flake-sweep clean
 
 all: build vet test
 
@@ -13,12 +13,22 @@ vet:
 	$(GO) vet ./...
 
 # staticcheck when available (CI installs it; locally the target degrades to
-# a notice rather than failing on a missing tool), plus the source guard.
-lint: vet rng-guard
+# a notice rather than failing on a missing tool), plus the gofmt and source
+# guards.
+lint: vet fmt-check rng-guard
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
+	fi
+
+# Every Go file must be gofmt-clean; the check lists the offenders
+# (perfbench's build directory is skipped like in rng-guard).
+fmt-check:
+	@bad=$$(find . -name '*.go' ! -path './.bench_build/*' -exec gofmt -l {} +); \
+	if [ -n "$$bad" ]; then \
+		echo "fmt-check: files not gofmt-clean (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
 	fi
 
 # internal/rng is the one seeded source: it draws math/rand's stream with
@@ -211,6 +221,7 @@ perfbench-test:
 # one run in five.
 flake-sweep:
 	$(GO) test -count=10 -run '^TestLiveMigrationWelcomeResume$$' ./internal/fleet
+	$(GO) test -count=10 -run '^TestLiveMigrationUnderHealthSampler$$' ./internal/fleet
 	$(GO) test -count=10 -run '^TestServerRetiresDepartedSessions$$' ./internal/server
 
 # Regenerate the checked-in health baseline from the same seeded campaign

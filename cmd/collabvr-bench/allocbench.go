@@ -83,7 +83,7 @@ func runAllocatorBench(seed int64, outPath string) error {
 	params := core.DefaultSimParams()
 	sizes := []int{5, 30, 200, 1000}
 	report := allocBenchReport{
-		Comment: "per-slot allocator microbenchmark; solver = heap-based incremental greedy, " +
+		Comment: "per-slot allocator microbenchmark; solver = incremental greedy (sorted first upgrades, heap of later ones), " +
 			"reference = original rescan greedy",
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,

@@ -97,26 +97,65 @@ type Terms struct {
 	Variance float64 // beta * (weighted quality-switch variance)
 }
 
+// varianceWeight is the (t-1)/t weight eq. (9) puts on the
+// quality-switch variance in slot t.
+func varianceWeight(t int) float64 {
+	tf := float64(t)
+	return (tf - 1) / tf
+}
+
+// objectiveRow evaluates h_n(q) for one user in one slot. It holds the
+// factors of the variance term that do not depend on q, so a lowering pass
+// computes them once per user rather than once per level; every caller of
+// the objective goes through it, which keeps the float arithmetic — and so
+// every decision — in one place.
+type objectiveRow struct {
+	params Params
+	u      *UserInput
+	// varQ and varMean split the variance term as
+	// varQ*(q-MeanQ)^2 + varMean, each factor multiplied left to right as
+	// eq. (9) reads: Delta*varWeight and (1-Delta)*varWeight*MeanQ*MeanQ.
+	varQ, varMean float64
+}
+
+func newObjectiveRow(params Params, varWeight float64, u *UserInput) objectiveRow {
+	return objectiveRow{
+		params:  params,
+		u:       u,
+		varQ:    u.Delta * varWeight,
+		varMean: (1 - u.Delta) * varWeight * u.MeanQ * u.MeanQ,
+	}
+}
+
+// terms is ObjectiveTerms at level q (1-based).
+func (r *objectiveRow) terms(q int) Terms {
+	dq := float64(q) - r.u.MeanQ
+	return Terms{
+		Quality:  r.u.Delta * float64(q),
+		Delay:    r.params.Alpha * r.u.Delay[q-1],
+		Variance: r.params.Beta * (r.varQ*dq*dq + r.varMean),
+	}
+}
+
+// value is Objective at level q (1-based).
+func (r *objectiveRow) value(q int) float64 {
+	t := r.terms(q)
+	return t.Quality - t.Delay - t.Variance
+}
+
 // ObjectiveTerms evaluates the components of h_n(q) of eq. (9) for one user
 // at quality level q (1-based) in slot t — the per-slot objective terms the
 // flight recorder exports.
 func ObjectiveTerms(params Params, t int, u UserInput, q int) Terms {
-	tf := float64(t)
-	varWeight := (tf - 1) / tf
-	dq := float64(q) - u.MeanQ
-	variance := u.Delta*varWeight*dq*dq + (1-u.Delta)*varWeight*u.MeanQ*u.MeanQ
-	return Terms{
-		Quality:  u.Delta * float64(q),
-		Delay:    params.Alpha * u.Delay[q-1],
-		Variance: params.Beta * variance,
-	}
+	r := newObjectiveRow(params, varianceWeight(t), &u)
+	return r.terms(q)
 }
 
 // Objective evaluates h_n(q) of eq. (9) for one user at quality level q
 // (1-based) in slot t.
 func Objective(params Params, t int, u UserInput, q int) float64 {
-	terms := ObjectiveTerms(params, t, u, q)
-	return terms.Quality - terms.Delay - terms.Variance
+	r := newObjectiveRow(params, varianceWeight(t), &u)
+	return r.value(q)
 }
 
 // Allocation is the outcome of one slot's quality allocation.
@@ -199,18 +238,26 @@ func fillTrace(tr *SlotTrace, branch string, pass knapsack.PassTrace) {
 // toKnapsack lowers a slot problem into the generic nonlinear knapsack form.
 func toKnapsack(params Params, p *SlotProblem) *knapsack.Problem {
 	items := make([]knapsack.Item, len(p.Users))
-	for i, u := range p.Users {
-		values := make([]float64, params.Levels)
-		for q := 1; q <= params.Levels; q++ {
-			values[q-1] = Objective(params, p.T, u, q)
-		}
-		items[i] = knapsack.Item{
-			Values:  values,
-			Weights: u.Rate,
-			Cap:     u.Cap,
-		}
-	}
+	lowerInto(params, p, items, make([]float64, len(p.Users)*params.Levels))
 	return &knapsack.Problem{Items: items, Budget: p.Budget}
+}
+
+// lowerInto fills items[n] with user n's objective ladder h_n(1..L),
+// stored in values[n*L:(n+1)*L], and the user's rates and cap. The
+// variance weight is computed once for the slot and the q-independent
+// variance factors once per user.
+func lowerInto(params Params, p *SlotProblem, items []knapsack.Item, values []float64) {
+	levels := params.Levels
+	varWeight := varianceWeight(p.T)
+	for i := range p.Users {
+		u := &p.Users[i]
+		v := values[i*levels : (i+1)*levels : (i+1)*levels]
+		r := newObjectiveRow(params, varWeight, u)
+		for q := 1; q <= levels; q++ {
+			v[q-1] = r.value(q)
+		}
+		items[i] = knapsack.Item{Values: v, Weights: u.Rate, Cap: u.Cap}
+	}
 }
 
 func fromKnapsack(sol knapsack.Solution) Allocation {

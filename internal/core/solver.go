@@ -34,9 +34,9 @@ func NewSolverAllocator() *SolverAllocator { return &SolverAllocator{} }
 // DVGreedy: both run the same engine, only the scratch ownership differs.
 func (a *SolverAllocator) Name() string { return "dvgreedy" }
 
-// lower rebuilds the knapsack view of p on the allocator's scratch.
-// The float arithmetic matches toKnapsack exactly (same Objective calls in
-// the same order), keeping solutions bit-identical to the DVGreedy path.
+// lower rebuilds the knapsack view of p on the allocator's scratch, with
+// the same lowering (and so the same float arithmetic) as toKnapsack,
+// keeping solutions bit-identical to the DVGreedy path.
 func (a *SolverAllocator) lower(params Params, p *SlotProblem) *knapsack.Problem {
 	n, levels := len(p.Users), params.Levels
 	if cap(a.values) < n*levels {
@@ -45,15 +45,8 @@ func (a *SolverAllocator) lower(params Params, p *SlotProblem) *knapsack.Problem
 	if cap(a.items) < n {
 		a.items = make([]knapsack.Item, n)
 	}
-	vals, items := a.values[:n*levels], a.items[:n]
-	for i := range p.Users {
-		u := &p.Users[i]
-		v := vals[i*levels : (i+1)*levels : (i+1)*levels]
-		for q := 1; q <= levels; q++ {
-			v[q-1] = Objective(params, p.T, *u, q)
-		}
-		items[i] = knapsack.Item{Values: v, Weights: u.Rate, Cap: u.Cap}
-	}
+	items := a.items[:n]
+	lowerInto(params, p, items, a.values[:n*levels])
 	a.prob = knapsack.Problem{Items: items, Budget: p.Budget}
 	return &a.prob
 }

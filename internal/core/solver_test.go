@@ -104,10 +104,10 @@ func TestLowerProblemMatchesAllocator(t *testing.T) {
 
 // BenchmarkSolveSlot measures one slot allocation end to end (lowering +
 // solve) for the reusable solver-backed allocator against the stateless
-// DVGreedy baseline.
+// DVGreedy baseline, up to the 1000 sessions of a steady large slot.
 func BenchmarkSolveSlot(b *testing.B) {
 	params := DefaultSimParams()
-	for _, n := range []int{5, 30, 200} {
+	for _, n := range []int{5, 30, 200, 1000} {
 		p := randomSlotProblem(rand.New(rand.NewSource(int64(n))), params, n)
 		b.Run(fmt.Sprintf("solver/N=%d", n), func(b *testing.B) {
 			a := NewSolverAllocator()

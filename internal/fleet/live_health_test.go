@@ -120,6 +120,10 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 		tick()
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Read the window now, while the session is live on shard `to`: once the
+	// client exits, the adopting shard retires the session and
+	// SLOMonitor.Retire drops its window by design.
+	slotsAfter := sloSlots()
 
 	out := <-done
 	if out.err != nil {
@@ -130,8 +134,8 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 	}
 
 	// (a) SLO continuity: the shared monitor kept the window across shards.
-	if after := sloSlots(); after < slotsBefore {
-		t.Errorf("SLO window shrank across migration: %d -> %d slots", slotsBefore, after)
+	if slotsAfter < slotsBefore {
+		t.Errorf("SLO window shrank across migration: %d -> %d slots", slotsBefore, slotsAfter)
 	}
 
 	// (b) One store carries both planes: sampler-fed SLO totals and

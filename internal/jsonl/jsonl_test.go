@@ -38,7 +38,7 @@ func TestDecodeCleanStream(t *testing.T) {
 // final line (writer mid-append) is skipped and counted, not fatal.
 func TestDecodeTrailingPartial(t *testing.T) {
 	for _, tail := range []string{
-		"{\"id\":3,\"na",       // torn mid-key
+		"{\"id\":3,\"na",            // torn mid-key
 		"{\"id\":0,\"name\":\"x\"}", // parses but fails validation
 		"{\"id\":3,\"na\nnot json either",
 	} {

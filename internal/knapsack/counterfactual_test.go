@@ -188,7 +188,7 @@ func TestInsertTopK(t *testing.T) {
 	for _, a := range []Alternative{
 		{Item: 4, Score: 1},
 		{Item: 2, Score: 5},
-		{Item: 7, Score: 5},      // score tie: item 2 ranks first
+		{Item: 7, Score: 5}, // score tie: item 2 ranks first
 		{Item: 7, Level: 3, Score: 3},
 		{Item: 7, Level: 2, Score: 3}, // full tie but level: level 2 first
 		{Item: 0, Score: -1},

@@ -9,10 +9,10 @@
 // bound V_p used in the proof of Theorem 1.
 //
 // Two interchangeable engines implement the greedy passes. The Solver
-// (solver.go) is the fast path: an incremental max-heap of pending
-// upgrades with reusable scratch, O(log N) per pick and zero allocations
-// in steady state; DensityGreedy, ValueGreedy and Combined run on a
-// pooled Solver. The original O(N * picks) scan is kept verbatim as
+// (solver.go) is the fast path: every item's first upgrade sorted once,
+// later upgrades on a small max-heap, reusable scratch and zero
+// allocations in steady state; DensityGreedy, ValueGreedy and Combined run
+// on a pooled Solver. The original O(N * picks) scan is kept verbatim as
 // ReferenceDensityGreedy / ReferenceValueGreedy / ReferenceCombined; both
 // engines share the scoring and tie-breaking rules below and return
 // bit-identical solutions and traces, which the golden-corpus and fuzz
